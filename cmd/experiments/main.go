@@ -12,7 +12,6 @@
 //	experiments -fig sizes   # N in {100, 1000, 10000} (§7.1 text)
 //	experiments -fig ddos    # sampled-flows under DDoS (§8 example)
 //	experiments -fig overhead|relax|hhpush|cascade   # ablations
-//	experiments -fig shard   # sharded partial-agg throughput sweep
 //	experiments -fig coverage   # empirical CI-coverage audit of ESTIMATE ... WITH ERROR
 //	experiments -fig all
 //
@@ -46,7 +45,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,theta,sizes,ddos,overhead,profile,relax,hhpush,cascade,shard,coverage,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,theta,sizes,ddos,overhead,profile,relax,hhpush,cascade,coverage,all")
 	seed := flag.Uint64("seed", 42, "random seed for feeds and algorithms")
 	quick := flag.Bool("quick", false, "shrink runs for a fast smoke test")
 	outDir := flag.String("o", "", "mirror stdout to <dir>/experiments_output.txt, creating the directory")
@@ -224,12 +223,10 @@ func run(fig string, seed uint64, quick bool, profileOut, coverageOut string) er
 		return cascadeFig(seed, quick)
 	case "relax":
 		return relaxFig(seed, quick)
-	case "shard":
-		return shardFig(seed, quick)
 	case "coverage":
 		return coverageFig(seed, quick, coverageOut)
 	case "all":
-		for _, f := range []string{"2", "3", "4", "5", "6", "theta", "sizes", "ddos", "overhead", "profile", "relax", "hhpush", "cascade", "shard", "coverage"} {
+		for _, f := range []string{"2", "3", "4", "5", "6", "theta", "sizes", "ddos", "overhead", "profile", "relax", "hhpush", "cascade", "coverage"} {
 			fmt.Printf("\n================ -fig %s ================\n", f)
 			if err := run(f, seed, quick, profileOut, coverageOut); err != nil {
 				return err
@@ -416,27 +413,6 @@ func profileFig(seed uint64, quick bool, out string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "experiments: cost attribution written to %s\n", out)
-	return nil
-}
-
-func shardFig(seed uint64, quick bool) error {
-	dur := 5.0
-	if quick {
-		dur = 1
-	}
-	res, err := experiments.Shard(seed, dur, []int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Sharded partial aggregation — throughput vs shard count (unpaced RunParallel)")
-	fmt.Printf("packets: %d, final groups: %d, GOMAXPROCS: %d, sequential Run: %.1f ms\n",
-		res.Packets, res.Groups, res.GOMAXPROCS, res.RunWallMS)
-	fmt.Printf("%-8s %10s %14s %10s %10s %8s\n", "shards", "wall ms", "pkts/sec", "speedup", "evictions", "exact")
-	for _, p := range res.Points {
-		fmt.Printf("%-8d %10.1f %14.0f %9.2fx %10d %8v\n",
-			p.Shards, p.WallMS, p.PktsPerSec, p.Speedup, p.Evictions, p.Exact)
-	}
-	fmt.Println("exact = final aggregates, row count and eviction total match the single-threaded Run")
 	return nil
 }
 

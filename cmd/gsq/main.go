@@ -9,7 +9,7 @@
 //	gsq -queryfile q.gsql -o run/ -artifacts events,metrics,state,trace -stats
 //	gsq -queryfile q.gsql -metrics :9090 -pprof
 //	gsq -queryfile q.gsql -overload shed-sample -inject 'burst:256@0.5,stall:1ms@0.25' -stats
-//	gsq -query 'SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP' -partial 4096 -parallel -shards 4
+//	gsq -query 'SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP' -partial 4096 -parallel
 //
 // Feeds: bursty (research-center tap), steady (data-center tap), ddos,
 // flows, or a binary trace recorded with tracegen via -replay.
@@ -18,11 +18,10 @@
 // ring buffer (-ring sets its capacity). -partial N runs it as a
 // low-level partial-aggregation node with an N-slot direct-mapped group
 // table instead of a full sampling operator (the query must then be plain
-// grouping/aggregation). -parallel switches from the single-threaded Run
-// to the concurrent RunParallel; -speedup paces the replay (0 = unpaced
-// backpressure), and -shards overrides the partial node's worker fan-out
-// (default: the query's SHARDS clause, then GOMAXPROCS-derived). See
-// docs/PARALLELISM.md for the run-mode semantics.
+// grouping/aggregation). -parallel switches from Run to RunParallel,
+// which feeds the ring from a concurrent producer goroutine; -speedup
+// paces the replay (0 = unpaced backpressure). See docs/ARCHITECTURE.md
+// for the run-mode semantics.
 // -stats prints node counters plus
 // ring occupancy, drops and overload-controller state.
 //
@@ -113,7 +112,6 @@ type config struct {
 	Partial    int     // -partial: run as a partial-agg node with this many slots
 	Parallel   bool    // -parallel: RunParallel instead of Run
 	Speedup    float64 // -speedup: pacing factor under -parallel (0 = unpaced)
-	Shards     int     // -shards: shard-count override for the partial node
 	Overload   string  // -overload: ring admission policy for every ring
 	Inject     string  // -inject: fault-injector spec wrapping the feed
 	OutDir     string  // -o: artifact directory
@@ -141,9 +139,8 @@ func main() {
 	flag.IntVar(&cfg.TraceEvery, "trace-every", 1000, "with -artifacts trace: trace one in this many source packets (deterministic per -seed)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve /debug/pprof and the introspection surface (on -metrics, or an ephemeral port when -metrics is unset)")
 	flag.IntVar(&cfg.Partial, "partial", 0, "run the query as a low-level partial-aggregation node with this many group-table slots (0 = full operator)")
-	flag.BoolVar(&cfg.Parallel, "parallel", false, "run with real concurrency (RunParallel); with -partial the node is sharded")
+	flag.BoolVar(&cfg.Parallel, "parallel", false, "run with a concurrent producer goroutine filling the ring (RunParallel)")
 	flag.Float64Var(&cfg.Speedup, "speedup", 0, "with -parallel: pace the replay at this multiple of capture time (0 = unpaced backpressure, no drops)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "with -partial -parallel: worker replicas for the partial node (0 = query SHARDS clause, then GOMAXPROCS-derived)")
 	flag.StringVar(&cfg.Overload, "overload", "", "ring admission policy for every ring: drop-tail|shed-sample|block (overrides the query's OVERLOAD clause)")
 	flag.StringVar(&cfg.Inject, "inject", "", `deterministic fault injectors wrapping the feed, e.g. "drop:0.01,burst:256@0.5,stall:1ms@0.25,slow:20us" (seeded by -seed)`)
 	flag.StringVar(&cfg.OutDir, "o", "", "write run artifacts into this directory (created if absent); see -artifacts")
@@ -283,14 +280,8 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		if cfg.Shards > 0 {
-			pn.SetShards(cfg.Shards)
-		}
 		node = pn.Base()
 	} else {
-		if cfg.Shards > 0 {
-			return fmt.Errorf("-shards only applies to a partial-aggregation node (add -partial)")
-		}
 		node, err = e.AddLowLevel("query", q.Plan())
 		if err != nil {
 			return err
@@ -368,7 +359,7 @@ func run(cfg config) error {
 	fmt.Println(strings.Join(q.Columns(), ","))
 	if cfg.Parallel {
 		if tr != nil {
-			fmt.Fprintln(os.Stderr, "gsq: note: provenance tracing is ignored under -parallel (see docs/PARALLELISM.md)")
+			fmt.Fprintln(os.Stderr, "gsq: note: provenance tracing is ignored under -parallel (see docs/ARCHITECTURE.md)")
 		}
 		err = e.RunParallelContext(ctx, feed, cfg.Speedup)
 	} else {
@@ -391,12 +382,8 @@ func run(cfg config) error {
 	if cfg.Stats {
 		if pn != nil {
 			st := node.Stats()
-			shards := 1
-			if cfg.Parallel {
-				shards = pn.Shards()
-			}
-			fmt.Fprintf(os.Stderr, "tuples in=%d out=%d evictions=%d shards=%d busy=%s\n",
-				st.TuplesIn, st.TuplesOut, pn.Evictions(), shards, st.Busy)
+			fmt.Fprintf(os.Stderr, "tuples in=%d out=%d evictions=%d busy=%s\n",
+				st.TuplesIn, st.TuplesOut, pn.Evictions(), st.Busy)
 		} else {
 			s := node.Stats().Operator
 			fmt.Fprintf(os.Stderr, "tuples in=%d accepted=%d out=%d groups=%d evicted=%d cleanings=%d windows=%d\n",

@@ -63,20 +63,20 @@ func TestRunQueryFile(t *testing.T) {
 	}
 }
 
-// TestRunPartialParallel exercises the sharded execution path end to
-// end: -partial -parallel -shards over a steady feed.
+// TestRunPartialParallel exercises a partial-aggregation node under the
+// concurrent producer end to end: -partial -parallel over a steady feed.
 func TestRunPartialParallel(t *testing.T) {
 	cfg := config{
 		Query:    "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP",
 		Feed:     "steady",
 		Duration: 0.5, Seed: 1, Ring: 4096, Stats: true,
-		Partial: 256, Parallel: true, Shards: 2,
+		Partial: 256, Parallel: true,
 	}
 	if err := run(cfg); err != nil {
 		t.Fatalf("run -partial -parallel: %v", err)
 	}
 	// Same query, single-threaded partial node.
-	cfg.Parallel, cfg.Shards = false, 0
+	cfg.Parallel = false
 	if err := run(cfg); err != nil {
 		t.Fatalf("run -partial: %v", err)
 	}
@@ -91,13 +91,6 @@ func TestRunPartialParallel(t *testing.T) {
 }
 
 func TestRunPartialFlagErrors(t *testing.T) {
-	// -shards without -partial is a usage error.
-	if err := run(config{
-		Query: "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb",
-		Feed:  "steady", Duration: 0.1, Seed: 1, Ring: 4096, Shards: 4,
-	}); err == nil {
-		t.Error("-shards without -partial accepted")
-	}
 	// A query with WHERE cannot run as a partial node.
 	if err := run(config{
 		Query: "SELECT tb, count(*) FROM PKT WHERE len > 0 GROUP BY time/1 as tb",

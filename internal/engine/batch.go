@@ -1,5 +1,5 @@
-// Columnar batch feeding: the ring → operator hot path of the serial and
-// parallel runs. Popped packet batches convert to columnar tuple batches
+// Columnar batch feeding: the ring → operator hot path of the pump.
+// Popped packet batches convert to columnar tuple batches
 // (trace.AppendBatch: one tight loop per field) and flow through
 // Operator.ProcessBatch / ptable.processBatch, which are row-for-row
 // identical to the scalar calls. Profiled or traced nodes keep the
@@ -27,8 +27,8 @@ func (n *Node) input() *tuple.Batch {
 }
 
 // processLowColumnar feeds one popped batch through a low-level node as a
-// columnar tuple batch (Run's serial consumer; see processLowBatch for
-// the traced/profiled row path).
+// columnar tuple batch (see processLowBatch for the traced/profiled row
+// path).
 func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
 	start := time.Now()
 	b := low.input()
@@ -41,26 +41,6 @@ func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
 		return fmt.Errorf("engine: node %q: %w", low.name, err)
 	}
 	low.syncTelemetry(0)
-	return nil
-}
-
-// processLowColumnarParallel is processLowColumnar for a RunParallel
-// worker: emissions route to subscriber channels for the duration of the
-// call. Each low node is owned by exactly one worker goroutine, so the
-// node's input batch is that worker's scratch.
-func (e *Engine) processLowColumnarParallel(low *Node, pkts []trace.Packet, chans map[*Node]chan tuple.Tuple) error {
-	start := time.Now()
-	b := low.input()
-	b.Reset()
-	trace.AppendBatch(b, pkts)
-	low.tuplesIn += int64(len(pkts))
-	low.parallelChans = chans
-	err := low.op.ProcessBatch(b)
-	low.parallelChans = nil
-	low.busy += time.Since(start)
-	if err != nil {
-		return fmt.Errorf("engine: node %q: %w", low.name, err)
-	}
 	return nil
 }
 
@@ -200,11 +180,7 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 			}
 		}
 		h := tuple.HashRow(v.gb, row)
-		idx := h & t.mask
-		if t.div > 1 {
-			idx /= t.div
-		}
-		slot := &t.slots[idx]
+		slot := &t.slots[h&t.mask]
 		if slot.used && !t.slotKeyEqualsRow(slot, h, row) {
 			if err := t.emitSlot(slot); err != nil {
 				return err
@@ -276,93 +252,4 @@ func (t *ptable) slotKeyEqualsRow(slot *partialGroup, h uint64, row int) bool {
 		}
 	}
 	return true
-}
-
-// routerVec is a shard set's vectorized routing state. vp is nil when the
-// router plan does not vectorize (per-packet routing remains).
-type routerVec struct {
-	vp  *gsql.VecPlan
-	env *gsql.VecEnv
-	gb  []*tuple.Column
-	b   *tuple.Batch
-}
-
-// routeBatch routes a producer batch columnar: one vectorized GROUP BY
-// evaluation over the whole batch, then per-packet HashRow → shard
-// assignment with the same window-barrier sequence as route. Evaluation
-// errors and non-vectorizable routers fall back per packet — routing
-// itself buffers nothing before the fallback, so positions are exact.
-func (s *shardSet) routeBatch(pkts []trace.Packet, scratch tuple.Tuple) error {
-	if len(pkts) == 0 {
-		return nil
-	}
-	v := s.rvec
-	if v == nil {
-		v = &routerVec{}
-		if vp, ok := gsql.Vectorize(s.router); ok {
-			v.vp = vp
-			v.env = &gsql.VecEnv{}
-			v.gb = make([]*tuple.Column, len(vp.GroupBy))
-			v.b = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)
-		}
-		s.rvec = v
-	}
-	if v.vp == nil {
-		return s.routeRows(pkts, scratch)
-	}
-	b := v.b
-	b.Reset()
-	trace.AppendBatch(b, pkts)
-	env := v.env
-	env.Reset(b)
-	for i, e := range v.vp.GroupBy {
-		col, err := e.EvalCol(env)
-		if err != nil {
-			return s.routeRows(pkts, scratch)
-		}
-		v.gb[i] = col
-	}
-	nw := uint64(len(s.workers))
-	for row := range pkts {
-		if s.barrier && len(s.router.OrderedIdx) > 0 {
-			if s.winOpen && s.routerChangedAt(row) {
-				s.windowBarrier()
-				s.winOpen = false
-			}
-			if !s.winOpen {
-				s.winOpen = true
-				s.window = s.window[:0]
-				for _, idx := range s.router.OrderedIdx {
-					s.window = append(s.window, v.gb[idx].Value(row))
-				}
-			}
-		}
-		slot := tuple.HashRow(v.gb, row) & s.mask
-		shard := int(slot % nw)
-		s.pend[shard] = append(s.pend[shard], pkts[row])
-		if len(s.pend[shard]) >= s.batchN {
-			s.flushPend(shard)
-		}
-	}
-	return nil
-}
-
-func (s *shardSet) routeRows(pkts []trace.Packet, scratch tuple.Tuple) error {
-	for i := range pkts {
-		pkts[i].AppendTuple(scratch)
-		if err := s.route(pkts[i], scratch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// routerChangedAt is routerChanged against batch columns.
-func (s *shardSet) routerChangedAt(row int) bool {
-	for i, idx := range s.router.OrderedIdx {
-		if !s.rvec.gb[idx].EqualValue(row, s.window[i]) {
-			return true
-		}
-	}
-	return false
 }

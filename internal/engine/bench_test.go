@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -39,163 +37,57 @@ func benchPackets(b *testing.B, n int) []trace.Packet {
 	return trace.Collect(feed)
 }
 
-// BenchmarkEngineRun measures the single-threaded end-to-end per-packet
-// cost of the two-level topology.
+// benchRuns times whole runs of pkts, each over a fresh engine from
+// build, until at least b.N packets went through, and reports ns/pkt as
+// elapsed time over packets processed. b.N counts packets, so ns/op
+// means the same only when b.N is a multiple of the run length; ns/pkt
+// always does.
+func benchRuns(b *testing.B, pkts []trace.Packet, build func() *engine.Engine, run func(*engine.Engine, trace.Feed) error) {
+	b.ResetTimer()
+	var elapsed time.Duration
+	processed := 0
+	for processed < b.N {
+		b.StopTimer()
+		e := build()
+		b.StartTimer()
+		start := time.Now()
+		if err := run(e, sliceFeed(pkts)); err != nil {
+			b.Fatal(err)
+		}
+		elapsed += time.Since(start)
+		processed += len(pkts)
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(processed), "ns/pkt")
+	b.ReportMetric(float64(len(pkts)), "pkts/run")
+}
+
+// BenchmarkEngineRun measures Run's end-to-end per-packet cost of the
+// two-level topology.
 func BenchmarkEngineRun(b *testing.B) {
-	pkts := benchPackets(b, 100000)
-	b.ResetTimer()
-	processed := 0
-	for processed < b.N {
-		b.StopTimer()
-		e := buildBenchTopology(b)
-		b.StartTimer()
-		if err := e.Run(sliceFeed(pkts)); err != nil {
-			b.Fatal(err)
-		}
-		processed += len(pkts)
-	}
-	b.ReportMetric(float64(len(pkts)), "pkts/run")
+	benchRuns(b, benchPackets(b, 100000), func() *engine.Engine { return buildBenchTopology(b) },
+		(*engine.Engine).Run)
 }
 
-// BenchmarkEngineRunParallel measures the concurrent (unpaced,
-// backpressured) end-to-end cost of the same topology.
+// BenchmarkEngineRunParallel measures the unpaced (backpressured)
+// RunParallel cost of the same topology: the producer goroutine fills
+// the ring while the pump drains it.
 func BenchmarkEngineRunParallel(b *testing.B) {
-	pkts := benchPackets(b, 100000)
-	b.ResetTimer()
-	processed := 0
-	for processed < b.N {
-		b.StopTimer()
-		e := buildBenchTopology(b)
-		b.StartTimer()
-		if err := e.RunParallel(sliceFeed(pkts), 0); err != nil {
-			b.Fatal(err)
-		}
-		processed += len(pkts)
-	}
-	b.ReportMetric(float64(len(pkts)), "pkts/run")
+	benchRuns(b, benchPackets(b, 100000), func() *engine.Engine { return buildBenchTopology(b) },
+		func(e *engine.Engine, feed trace.Feed) error { return e.RunParallel(feed, 0) })
 }
 
-// BenchmarkPartialAggProcess measures the partial-aggregation fast path.
+// BenchmarkPartialAggProcess measures the partial-aggregation fast path
+// under Run.
 func BenchmarkPartialAggProcess(b *testing.B) {
-	pkts := benchPackets(b, 100000)
-	e, _ := engine.New(8192)
-	plan := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-	if _, err := e.AddLowLevelPartialAgg("p", plan, 4096); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	processed := 0
-	for processed < b.N {
-		b.StopTimer()
-		e2, _ := engine.New(8192)
-		plan2 := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-		if _, err := e2.AddLowLevelPartialAgg("p", plan2, 4096); err != nil {
+	build := func() *engine.Engine {
+		e, _ := engine.New(8192)
+		plan := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
+		if _, err := e.AddLowLevelPartialAgg("p", plan, 4096); err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
-		if err := e2.Run(sliceFeed(pkts)); err != nil {
-			b.Fatal(err)
-		}
-		processed += len(pkts)
+		return e
 	}
-}
-
-// buildShardedBench wires a high-cardinality partial-aggregation node
-// with the given shard count (hosts ~ slots, so the group table churns
-// and the per-packet group-by/hash/fold work dominates).
-func buildShardedBench(b *testing.B, shards int) *engine.Engine {
-	b.Helper()
-	e, _ := engine.New(8192)
-	plan := mustPlanB(b, "SELECT tb, srcIP, sum(len), count(*) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-	pn, err := e.AddLowLevelPartialAgg("p", plan, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pn.SetShards(shards)
-	return e
-}
-
-func shardBenchPackets(b *testing.B) []trace.Packet {
-	b.Helper()
-	cfg := trace.SteadyConfig{Seed: 9, Duration: 1, Rate: 100000, Hosts: 4096}
-	feed, err := trace.NewSteady(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return trace.Collect(feed)
-}
-
-// BenchmarkShardedPartialAgg measures unpaced RunParallel throughput of a
-// partial-aggregation node across shard counts. Run with -cpu 1,2,4 to
-// see how fan-out interacts with GOMAXPROCS; scripts/bench.sh records the
-// shards=1 vs shards=4 ratio into BENCH_parallel.json.
-func BenchmarkShardedPartialAgg(b *testing.B) {
-	pkts := shardBenchPackets(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			processed := 0
-			b.ResetTimer()
-			for processed < b.N {
-				b.StopTimer()
-				e := buildShardedBench(b, shards)
-				b.StartTimer()
-				if err := e.RunParallel(sliceFeed(pkts), 0); err != nil {
-					b.Fatal(err)
-				}
-				processed += len(pkts)
-			}
-			b.ReportMetric(float64(len(pkts)), "pkts/run")
-		})
-	}
-}
-
-// minPass runs interleaved base/variant passes and returns the minimum
-// observed time on each side — the min-vs-min damping the repo's guard
-// benchmarks use (transient load must cover one whole side to skew the
-// ratio). At least 5 pairs even under -benchtime=1x.
-func minPass(bN int, base, variant func() time.Duration) (time.Duration, time.Duration) {
-	iters := bN
-	if iters < 5 {
-		iters = 5
-	}
-	minBase, minVar := time.Duration(0), time.Duration(0)
-	for i := 0; i < iters; i++ {
-		runtime.GC()
-		if d := base(); minBase == 0 || d < minBase {
-			minBase = d
-		}
-		runtime.GC()
-		if d := variant(); minVar == 0 || d < minVar {
-			minVar = d
-		}
-	}
-	return minBase, minVar
-}
-
-// BenchmarkShardedThroughputGuard enforces the sharding win: on a host
-// with at least 4 CPUs, a 4-shard partial-aggregation run must be at
-// least as fast as the 1-shard run on the high-cardinality workload.
-// Metric: speedup-x (1-shard time / 4-shard time, min-vs-min). On
-// smaller hosts the ratio is still reported but not enforced — four
-// time-sliced workers on one core cannot beat one.
-func BenchmarkShardedThroughputGuard(b *testing.B) {
-	pkts := shardBenchPackets(b)
-	pass := func(shards int) func() time.Duration {
-		return func() time.Duration {
-			e := buildShardedBench(b, shards)
-			start := time.Now()
-			if err := e.RunParallel(sliceFeed(pkts), 0); err != nil {
-				b.Fatal(err)
-			}
-			return time.Since(start)
-		}
-	}
-	minUnsharded, minSharded := minPass(b.N, pass(1), pass(4))
-	speedup := float64(minUnsharded) / float64(minSharded)
-	b.ReportMetric(speedup, "speedup-x")
-	if runtime.NumCPU() >= 4 && speedup < 1.0 {
-		b.Errorf("4-shard run slower than 1-shard on %d CPUs: speedup %.2fx", runtime.NumCPU(), speedup)
-	}
+	benchRuns(b, benchPackets(b, 100000), build, (*engine.Engine).Run)
 }
 
 // mustPlanB is the benchmark-friendly version of mustPlan.

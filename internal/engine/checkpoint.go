@@ -3,13 +3,11 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/overload"
-	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 )
@@ -25,27 +23,21 @@ import (
 // query topology so a snapshot is never restored into a different set of
 // queries.
 //
-// Exactness. The serial loop snapshots only when the ring is empty and
-// every node has settled, so "packets taken from the feed" fully
-// determines what every operator has seen; the restored run fast-forwards
-// the feed by that count and continues bit-for-bit (fault injection and
-// admission draws replay identically because their RNG state rides along
-// — the wrapped feed is re-wrapped with the same seed, and skipping the
-// prefix replays the same draws). RunParallel reaches the same boundary
-// by quiescing: the producer stops pushing and waits until each worker's
-// consumed count matches its ring's push count, which also gives the
-// producer a happens-before edge over the workers' operator state.
+// Exactness. The pump snapshots only at a cycle boundary, where every
+// packet it popped has settled in every node and the high-level queues
+// are empty, so the stream counters the pump keeps — packets, first and
+// last timestamp — fully determine what every operator has seen; the
+// restored run fast-forwards the feed by that count and continues
+// bit-for-bit (fault injection and admission draws replay identically
+// because their RNG state rides along — the wrapped feed is re-wrapped
+// with the same seed, and skipping the prefix replays the same draws).
+// Under RunParallel the producer may already hold later packets in the
+// ring; they are not counted yet, so the snapshot still describes the
+// pump's boundary.
 //
 // Restrictions. Partial-aggregation nodes have no state codec and refuse
-// checkpointing; RunParallel additionally requires unpaced mode (paced
-// mode sheds packets nondeterministically, so there is no exact resume to
-// preserve) and a topology without high-level nodes (their channel
-// buffers are in-flight state with no quiesce point).
-
-// ckptProbeInterval is how many packets the parallel producer routes
-// between checkpoint-due probes (each probe quiesces the workers, so it
-// must be far rarer than the per-packet work it interrupts).
-const ckptProbeInterval = 4096
+// checkpointing; paced RunParallel refuses it too (its gate sheds packets
+// nondeterministically, so there is no exact resume to preserve).
 
 // CheckpointConfig configures periodic snapshots for a run.
 type CheckpointConfig struct {
@@ -76,8 +68,8 @@ type ckptState struct {
 	session  bool
 	regDirty bool
 
-	// Atomic mirrors for /debug/state (written by the run loop or the
-	// parallel producer, read by the HTTP goroutine).
+	// Atomic mirrors for /debug/state (written by the pump, read by the
+	// HTTP goroutine).
 	aSeq     atomic.Uint64
 	aWritten atomic.Int64
 
@@ -124,21 +116,16 @@ func (ck *ckptState) metrics(tel *telemetry.Collector) *ckptMetrics {
 
 // checkpointRunnable rejects topologies and modes the checkpoint
 // machinery cannot snapshot exactly; a run without checkpointing is never
-// rejected.
-func (e *Engine) checkpointRunnable(parallel bool, speedup float64) error {
+// rejected. lossy marks a paced RunParallel.
+func (e *Engine) checkpointRunnable(lossy bool) error {
 	if e.ckpt == nil {
 		return nil
 	}
 	if len(e.lowPartial) > 0 {
 		return fmt.Errorf("engine: checkpointing does not support partial-aggregation nodes (no state codec)")
 	}
-	if parallel {
-		if speedup > 0 {
-			return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
-		}
-		if len(e.high) > 0 {
-			return fmt.Errorf("engine: checkpointing under RunParallel does not support high-level nodes (in-flight channel state)")
-		}
+	if lossy {
+		return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
 	}
 	return nil
 }
@@ -226,7 +213,7 @@ func (e *Engine) maxWindows() int64 {
 }
 
 // maybeCheckpoint writes a snapshot when the periodic schedule is due.
-// Serial run loop / parallel producer only, at a quiesced tuple boundary.
+// Pump only, at a cycle boundary.
 func (e *Engine) maybeCheckpoint() error {
 	ck := e.ckpt
 	if ck == nil || ck.cfg.EveryWindows <= 0 {
@@ -405,7 +392,7 @@ func (e *Engine) RestoreLatest() (*RestoreInfo, error) {
 }
 
 // applyRestoredGate moves a restored admission-controller state into the
-// freshly created source gate. Run/RunParallel setup only.
+// freshly created source gate. Pump setup only.
 func (e *Engine) applyRestoredGate() {
 	ck := e.ckpt
 	if ck == nil || ck.pendingGate == nil {
@@ -432,18 +419,6 @@ func (e *Engine) resumeFastForward(feed trace.Feed) {
 		}
 	}
 	ck.resumeSkip = 0
-}
-
-// quiesceLow waits until every low-level worker has consumed everything
-// pushed to its ring. Parallel producer only, after flushing its batch
-// buffers; the consumed counters' release/acquire ordering makes the
-// workers' operator state safe to read afterwards.
-func (e *Engine) quiesceLow(rings []*ringbuf.Ring[trace.Packet]) {
-	for i, low := range e.low {
-		for low.consumed.Load() != rings[i].Pushed() {
-			runtime.Gosched()
-		}
-	}
 }
 
 func encodeGateState(e *checkpoint.Encoder, s overload.PersistentState) {

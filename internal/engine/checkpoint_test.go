@@ -77,8 +77,7 @@ func fmtRow(row tuple.Tuple) string {
 
 // buildSamplingEngine assembles one engine with every sampling family as a
 // low-level node. Each node gets its own registry (seeded per node) so
-// instance counters never depend on sibling scheduling, which matters for
-// the parallel byte-identity runs.
+// instance counters never depend on sibling scheduling.
 func buildSamplingEngine(t *testing.T) (*engine.Engine, map[string]*[]string) {
 	t.Helper()
 	e, err := engine.New(4096)
@@ -280,9 +279,9 @@ func TestKillAndResumeSerialWithFaults(t *testing.T) {
 	runKillAndResume(t, false, "drop:0.05,burst:128@0.5", false)
 }
 
-// TestKillAndResumeParallel proves the same byte-identity when every node
-// runs on its own worker goroutine (unpaced RunParallel, quiesced
-// snapshots).
+// TestKillAndResumeParallel proves the same byte-identity when a
+// producer goroutine fills the ring concurrently (unpaced RunParallel,
+// snapshots at the pump's boundary).
 func TestKillAndResumeParallel(t *testing.T) {
 	runKillAndResume(t, true, "", false)
 }
@@ -335,8 +334,7 @@ func TestRestoreLatestNoSnapshot(t *testing.T) {
 
 func TestCheckpointModeRestrictions(t *testing.T) {
 	// Paced parallel mode sheds nondeterministically: refused.
-	e, rows := buildSamplingEngine(t)
-	_ = rows
+	e, _ := buildSamplingEngine(t)
 	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -344,35 +342,65 @@ func TestCheckpointModeRestrictions(t *testing.T) {
 		t.Fatalf("paced parallel checkpointing accepted: %v", err)
 	}
 
-	// High-level nodes under RunParallel hold in-flight channel state: refused.
-	e2, err := engine.New(1024)
+	// High-level nodes under unpaced RunParallel snapshot at the pump's
+	// boundary like any other node: a killed run resumes byte-exactly.
+	build := func() (*engine.Engine, map[string]*[]string) {
+		e, err := engine.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := e.AddLowLevel("sel", mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string]*[]string{}
+		for _, h := range []struct{ name, src string }{
+			{"agg", "SELECT tb, srcIP, sum(len), count(*) FROM sel GROUP BY time/1 as tb, srcIP"},
+			{"est", estEngQuery},
+		} {
+			n, err := e.AddHighLevel(h.name, sel, mustPlan(t, h.src, sel.Schema()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &[]string{}
+			rows[h.name] = sink
+			n.Subscribe(func(row tuple.Tuple) error {
+				*sink = append(*sink, fmtRow(row))
+				return nil
+			})
+		}
+		return e, rows
+	}
+	dir := t.TempDir()
+	eRef, refRows := build()
+	if err := eRef.RunParallel(steadyFeed(t), 0); err != nil {
+		t.Fatal(err)
+	}
+	eA, rowsA := build()
+	if err := eA.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := eA.RunParallelContext(ctx, &cancelAt{inner: steadyFeed(t), at: 23000, cancel: cancel}, 0); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	eB, rowsB := build()
+	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := eB.RestoreLatest()
 	if err != nil {
+		t.Fatalf("RestoreLatest: %v", err)
+	}
+	if err := eB.RunParallel(steadyFeed(t), 0); err != nil {
 		t.Fatal(err)
 	}
-	low := mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema())
-	lowNode, err := e2.AddLowLevel("sel", low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high := mustPlan(t, "SELECT tb, count(*) FROM sel GROUP BY time/1 as tb", lowNode.Schema())
-	if _, err := e2.AddHighLevel("agg", lowNode, high); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.RunParallel(steadyFeed(t), 0); err == nil || !strings.Contains(err.Error(), "high-level") {
-		t.Fatalf("parallel checkpointing with high nodes accepted: %v", err)
-	}
-	// The same topology checkpoints fine serially.
-	if err := e2.Run(steadyFeed(t)); err != nil {
-		t.Fatalf("serial checkpointed two-level run failed: %v", err)
-	}
-	if names, _ := checkpoint.List(t.TempDir()); len(names) != 0 {
-		t.Fatal("stray snapshots in a fresh dir")
+	for name, ref := range refRows {
+		spliceCompare(t, name, *ref, *rowsA[name], *rowsB[name], tuplesOutOf(t, info, name))
 	}
 
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
+	if err := eB.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
 		t.Fatal("empty checkpoint dir accepted")
 	}
 }
@@ -509,9 +537,9 @@ func TestPanicContainmentSerial(t *testing.T) {
 	checkContainment(t, e, err, *boomRows, *healthyRows, want)
 }
 
-// TestPanicContainmentParallel: same containment with per-node worker
-// goroutines — the dead worker drains its ring so the producer never
-// stalls, and the sibling still matches its solo run.
+// TestPanicContainmentParallel: same containment with a concurrent
+// producer — the pump skips the failed node, the producer never stalls,
+// and the sibling still matches its solo run.
 func TestPanicContainmentParallel(t *testing.T) {
 	want := healthyReference(t)
 	e, boomRows, healthyRows := buildBoomEngine(t, 2_000_000_000)

@@ -46,25 +46,6 @@ type RingDebug struct {
 type NodeDebug struct {
 	Name  string               `json:"name"`
 	State *operator.DebugState `json:"state"` // nil for partial-agg nodes
-	// Shards is present for a partial-aggregation node after RunParallel
-	// published its sharded runtime: one entry per worker replica.
-	Shards []ShardDebug `json:"shards,omitempty"`
-}
-
-// ShardDebug is one shard replica's live counters in /debug/state. The
-// values come from atomics the worker mirrors at batch boundaries, so a
-// scrape mid-run sees a slightly stale but tear-free snapshot.
-type ShardDebug struct {
-	ID        int    `json:"id"`
-	RingCap   int    `json:"ring_cap"`
-	RingLen   int    `json:"ring_len"`
-	RingDrops uint64 `json:"ring_drops"`
-	Folded    uint64 `json:"folded"`
-	TuplesIn  int64  `json:"tuples_in"`
-	TuplesOut int64  `json:"tuples_out"`
-	Evictions int64  `json:"evictions"`
-	Residents int64  `json:"residents"`
-	BusyNS    int64  `json:"busy_ns"`
 }
 
 // registerDebug installs the engine's /debug data sources on c.
@@ -148,24 +129,7 @@ func (e *Engine) debugState() map[string]any {
 		nodes = append(nodes, NodeDebug{Name: n.name, State: n.op.DebugSnapshot()})
 	}
 	for _, pn := range e.lowPartial {
-		nd := NodeDebug{Name: pn.name}
-		if s := pn.rt.Load(); s != nil {
-			for _, w := range s.workers {
-				nd.Shards = append(nd.Shards, ShardDebug{
-					ID:        w.id,
-					RingCap:   w.ring.Cap(),
-					RingLen:   w.ring.Len(),
-					RingDrops: w.ring.Drops(),
-					Folded:    w.folded.Load(),
-					TuplesIn:  w.aTuplesIn.Load(),
-					TuplesOut: w.aOut.Load(),
-					Evictions: w.aEvictions.Load(),
-					Residents: w.aResidents.Load(),
-					BusyNS:    w.aBusyNS.Load(),
-				})
-			}
-		}
-		nodes = append(nodes, nd)
+		nodes = append(nodes, NodeDebug{Name: pn.name})
 	}
 	for _, n := range e.high {
 		nodes = append(nodes, NodeDebug{Name: n.name, State: n.op.DebugSnapshot()})

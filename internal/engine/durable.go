@@ -123,6 +123,34 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
+// unpersistedNode names the first node the session payload would not
+// carry, "" when there is none. The payload holds the standing-query
+// registry — installed queries and their taps — so a node added by hand
+// (AddLowLevel, AddHighLevel, AddLowLevelPartialAgg) would run over every
+// packet and then vanish from the restored session.
+func (e *Engine) unpersistedNode() string {
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	if len(e.lowPartial) > 0 {
+		return e.lowPartial[0].name
+	}
+	owned := make(map[*Node]bool, len(e.handles)+len(e.taps))
+	for _, h := range e.handles {
+		owned[h.node] = true
+	}
+	for _, t := range e.taps {
+		owned[t.node] = true
+	}
+	for _, nodes := range [][]*Node{e.low, e.high} {
+		for _, n := range nodes {
+			if !owned[n] {
+				return n.name
+			}
+		}
+	}
+	return ""
+}
+
 // encodeNodeState appends one node's counters and operator snapshot (or
 // its contained failure, whose operator state is untrusted).
 func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -434,6 +435,49 @@ func TestRestoreSessionGuards(t *testing.T) {
 			t.Fatal("RestoreSession on a non-empty engine succeeded")
 		}
 	})
+}
+
+// TestDurableSessionRefusesHandBuiltNodes: a durable session snapshot
+// carries only the standing-query registry, so a node added by hand
+// would run over every packet and then vanish on restore. StartWith must
+// refuse it up front, naming the node; without checkpointing the same
+// topology still starts.
+func TestDurableSessionRefusesHandBuiltNodes(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		e, _ := engine.New(1024)
+		if durable {
+			if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.AddLowLevel("handmade", mustPlan(t, "SELECT time, len FROM PKT", trace.Schema())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Install("q", "SELECT len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
+			t.Fatal(err)
+		}
+		feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 3, Duration: 0.2, Rate: 10000})
+		err := e.Start(context.Background(), feed)
+		if !durable {
+			if err != nil {
+				t.Fatalf("non-durable session refused: %v", err)
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err == nil {
+			e.Drain()
+			t.Fatal("durable session started with a hand-built node it cannot snapshot")
+		}
+		if !strings.Contains(err.Error(), `"handmade"`) {
+			t.Fatalf("refusal does not name the node: %v", err)
+		}
+		if e.SessionActive() {
+			t.Fatal("refused Start left a session active")
+		}
+	}
 }
 
 // writeSessionSnapshot runs a short checkpointing session so dir holds at

@@ -45,38 +45,31 @@ type NodeStats struct {
 // Node is one query node. Low-level nodes consume packets; high-level
 // nodes consume another node's output tuples.
 type Node struct {
-	name   string
-	plan   *gsql.Plan
-	op     *operator.Operator
-	schema *tuple.Schema // output schema
-	subs   []*Node
-	apps   []func(tuple.Tuple) error
-	queue  []tuple.Tuple // pending input for high-level nodes (Run)
-	// parallelChans, when non-nil, redirects emissions to subscriber
-	// channels (RunParallel).
-	parallelChans map[*Node]chan tuple.Tuple
-	busy          time.Duration
-	tuplesIn      int64
-	out           int64
-	low           bool
+	name     string
+	plan     *gsql.Plan
+	op       *operator.Operator
+	schema   *tuple.Schema // output schema
+	subs     []*Node
+	apps     []func(tuple.Tuple) error
+	queue    []tuple.Tuple // pending input for high-level nodes
+	busy     time.Duration
+	tuplesIn int64
+	out      int64
+	low      bool
 	// Failure containment (see recovery.go): a panic inside the node's
 	// operator marks the node failed instead of crashing the process. The
-	// fields are owned by the goroutine processing the node; cross-goroutine
-	// readers go through Engine.Failures.
+	// fields are owned by the pump; cross-goroutine readers go through
+	// Engine.Failures.
 	failed    bool
 	failMsg   string
 	failStack string
-	// consumed counts packets this node's RunParallel worker has fully
-	// processed; the producer's checkpoint quiesce waits for it to catch up
-	// with the ring's push count (see checkpoint.go).
-	consumed atomic.Uint64
 	// nm holds this node's telemetry gauges; nil when uninstrumented.
 	nm *nodeMetrics
 	// prof is this node's cost profile; nil when profiling is off (see
 	// profile.go).
 	prof *profile.NodeProfile
 	// inBatch is the node's columnar input scratch (see batch.go), lazily
-	// created; owned by whichever single goroutine feeds the node.
+	// created.
 	inBatch *tuple.Batch
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
 	// trEnq/trDeq count this node's queued input rows so traces can ride on
@@ -119,24 +112,18 @@ func (n *Node) emit(row tuple.Tuple) error {
 	if n.tr != nil {
 		tts = n.tr.TakeEmitting()
 	}
-	if n.parallelChans != nil {
-		for _, sub := range n.subs {
-			n.parallelChans[sub] <- row.Clone()
-		}
-	} else {
-		for si, sub := range n.subs {
-			sub.queue = append(sub.queue, row.Clone())
-			if n.tr != nil {
-				// A traced row follows its first subscriber only, keyed by
-				// FIFO position in the subscriber's enqueue order.
-				if si == 0 && len(tts) > 0 {
-					sub.enqueueTrace(n.name, tts)
-				}
-				sub.trEnq++
+	for si, sub := range n.subs {
+		sub.queue = append(sub.queue, row.Clone())
+		if n.tr != nil {
+			// A traced row follows its first subscriber only, keyed by
+			// FIFO position in the subscriber's enqueue order.
+			if si == 0 && len(tts) > 0 {
+				sub.enqueueTrace(n.name, tts)
 			}
+			sub.trEnq++
 		}
 	}
-	if len(tts) > 0 && (len(n.subs) == 0 || n.parallelChans != nil) {
+	if len(tts) > 0 && len(n.subs) == 0 {
 		// Application boundary: the traced tuple's group reached the DAG's
 		// edge — the one successful terminal disposition.
 		for _, tt := range tts {
@@ -185,15 +172,12 @@ type Engine struct {
 	ckpt *ckptState
 
 	// Contained node failures (see recovery.go), mutex-guarded because
-	// RunParallel workers append concurrently and /debug reads them live.
+	// /debug reads them live.
 	failMu   sync.Mutex
 	failures []NodeFailure
 
 	// Overload admission and fault injection (see overload.go).
 	gateRegistry
-	// shardCap overrides the shard rings' capacity when > 0 (tests use
-	// deliberately tiny rings to force overload).
-	shardCap int
 
 	// Standing-query session state (see session.go).
 	sessionFields
@@ -306,19 +290,23 @@ func (e *Engine) RunContext(ctx context.Context, feed trace.Feed) error {
 		return err
 	}
 	defer e.endRun()
-	return e.runSerial(ctx, feed, nil)
+	return e.pump(ctx, feed, nil, nil)
 }
 
-// runSerial is the serial pump shared by the one-shot Run path (s == nil,
-// byte-for-byte the historical RunContext behavior) and standing-query
-// sessions (s != nil: queued Install/Uninstall commands apply at ring-
-// drained boundaries, the feed is paced against the wall clock, and Drain
-// ends the stream gracefully). See session.go.
-func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) error {
+// pump is the drain/flush loop every run mode shares: the one-shot Run
+// (s == nil, p == nil), standing-query sessions (s != nil: queued
+// Install/Uninstall commands apply at ring-drained boundaries, the feed is
+// paced against the wall clock, and Drain ends the stream gracefully; see
+// session.go) and RunParallel (p != nil: a producer goroutine owns the
+// feed and fills the ring concurrently; see parallel.go). Each cycle moves
+// packets into the source ring, drains them through every node, and ends
+// at a boundary where every popped packet has settled — the one place a
+// snapshot or a topology change may happen.
+func (e *Engine) pump(ctx context.Context, feed trace.Feed, s *session, p *producer) error {
 	if s == nil && len(e.low) == 0 && len(e.lowPartial) == 0 {
 		return fmt.Errorf("engine: no low-level nodes")
 	}
-	if err := e.checkpointRunnable(false, 0); err != nil {
+	if err := e.checkpointRunnable(p != nil && p.speedup > 0); err != nil {
 		return err
 	}
 	if ck := e.ckpt; ck != nil {
@@ -332,10 +320,20 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 		}
 	}
 	feed = e.faults.Wrap(feed)
-	e.srcGate = e.newGate(e.resolveOverload(e.sourcePlan(), "source", "0"), e.ring, "source", "0")
-	e.setGates([]*ringGate{e.srcGate})
+	// The source ring has one admission gate, owned by whichever goroutine
+	// offers packets. An unpaced producer waits for ring space instead, so
+	// its runs are ungated.
+	e.srcGate = nil
+	if p == nil || p.speedup > 0 {
+		e.srcGate = e.newGate(e.resolveOverload(e.sourcePlan(), "source", "0"), e.ring, "source", "0")
+	}
+	e.pubGate.Store(e.srcGate)
 	e.applyRestoredGate()
 	e.resumeFastForward(feed)
+	if p != nil {
+		p.start(ctx, e, feed)
+		defer p.stop()
+	}
 	// ctxDone is nil for context.Background(), keeping the cancellation
 	// check off the packet loop entirely in the common case.
 	ctxDone := ctx.Done()
@@ -358,104 +356,31 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 				}
 			}
 		}
-		// Producer: fill the ring from the feed.
-		for e.ring.Len() < e.ring.Cap() {
-			if ctxDone != nil {
-				select {
-				case <-ctxDone:
-					cancelled, done = true, true
-				default:
-				}
-				if cancelled {
-					break
-				}
-			}
-			if s != nil {
-				if s.drained() {
-					done = true
-					break
-				}
-				if s.cmdPending() {
-					break
-				}
-			}
-			p, ok := feed.Next()
-			if !ok {
-				done = true
-				break
-			}
-			liveEdge := false
-			if s != nil {
-				// A pacing wait means the pump caught up with the wall
-				// clock: drain what's buffered now instead of letting rows
-				// sit until the ring fills.
-				liveEdge = s.pace(p.Time)
-			}
-			if !e.sawPacket.Load() {
-				e.firstTS.Store(p.Time)
-				e.sawPacket.Store(true)
-			}
-			e.lastTS.Store(p.Time)
-			e.packets.Add(1)
-			e.offerSource(p)
-			if liveEdge {
-				break
-			}
+		if p != nil {
+			done = p.wait()
+		} else {
+			done, cancelled = e.fill(feed, s, ctxDone)
 		}
 		e.noteRingPeak()
 		e.syncSourceRing()
-		// Low-level consumers drain the ring in batches.
-		for {
-			base := e.ring.Popped()
-			var dt int64
-			if e.srcProf != nil {
-				dt = profile.Now()
-			}
-			n := e.ring.PopBatch(pkts)
-			if e.srcProf != nil {
-				e.srcProf.AddExact(profile.StageDequeue, profile.Now()-dt)
-			}
-			if n == 0 {
-				break
-			}
-			if d := e.consumerDelay(); d > 0 {
-				time.Sleep(d)
-			}
-			// Traced packets follow the first low-level node through the
-			// DAG (one terminal disposition per trace).
-			var matches []tracing.SourceMatch
-			if e.tr != nil && len(e.low) > 0 {
-				matches = e.tr.TakeSource(base, n)
-			}
-			for _, low := range e.low {
-				if low.failed {
-					matches = nil
-					continue
-				}
-				if err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, pkts, n, scratch, matches)
-				}); err != nil {
-					return err
-				}
-				matches = nil
-			}
-			if err := e.runPartialBatch(pkts, n, scratch); err != nil {
-				return err
-			}
-			if err := e.drainHigh(); err != nil {
-				return err
-			}
+		if err := e.drainRing(pkts, scratch, p != nil); err != nil {
+			return err
 		}
-		e.srcGate.sync()
+		if p == nil {
+			e.srcGate.sync()
+		}
 		e.syncProfiles()
 		if s != nil {
 			e.syncQuotaMetrics()
 		}
-		// The ring is drained and every node sits at a tuple boundary: the
-		// one place the serial loop can snapshot a resumable state.
+		// Every popped packet has settled in every node: the one place
+		// the pump can snapshot a resumable state.
 		if err := e.maybeCheckpoint(); err != nil {
 			return err
 		}
+	}
+	if p != nil {
+		cancelled = p.finish()
 	}
 	// A cancelled run — and any ending session — writes its final
 	// snapshot before the bottom-up flush mutates every open window: the
@@ -512,7 +437,9 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 	}
 	e.syncSourceRing()
 	e.syncProfiles()
-	e.srcGate.sync()
+	if e.srcGate != nil {
+		e.srcGate.sync()
+	}
 	if s != nil {
 		e.syncQuotaMetrics()
 	}
@@ -525,10 +452,112 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 	return nil
 }
 
+// fill is the pump's own producer (Run and sessions): it takes packets
+// from the feed into the source ring until the ring is full, the stream
+// ends (done), or a session needs the pump back — a queued command, or a
+// pacing wait that put the pump at the live edge, where buffered rows
+// should drain now instead of sitting until the ring fills.
+func (e *Engine) fill(feed trace.Feed, s *session, ctxDone <-chan struct{}) (done, cancelled bool) {
+	for e.ring.Len() < e.ring.Cap() {
+		if ctxDone != nil {
+			select {
+			case <-ctxDone:
+				return true, true
+			default:
+			}
+		}
+		if s != nil {
+			if s.drained() {
+				return true, false
+			}
+			if s.cmdPending() {
+				return false, false
+			}
+		}
+		p, ok := feed.Next()
+		if !ok {
+			return true, false
+		}
+		liveEdge := s != nil && s.pace(p.Time)
+		e.advance(p.Time, p.Time, 1)
+		e.offerSource(p)
+		if liveEdge {
+			return false, false
+		}
+	}
+	return false, false
+}
+
+// advance adds n packets spanning timestamps [first, last] to the stream
+// counters a snapshot records. Only the pump calls it, so a snapshot at
+// a pump boundary counts exactly the packets every node has settled.
+func (e *Engine) advance(first, last uint64, n int64) {
+	if !e.sawPacket.Load() {
+		e.firstTS.Store(first)
+		e.sawPacket.Store(true)
+	}
+	e.lastTS.Store(last)
+	e.packets.Add(n)
+}
+
+// drainRing pops up to one ring's worth of packets in batches and runs
+// each batch through every low-level node, settling the high level after
+// each. The budget ends a cycle even while a concurrent producer keeps
+// the ring full. count makes the popped packets advance the stream
+// counters (RunParallel, whose producer counts only its own offers).
+func (e *Engine) drainRing(pkts []trace.Packet, scratch tuple.Tuple, count bool) error {
+	for budget := e.ring.Cap(); budget > 0; {
+		base := e.ring.Popped()
+		var dt int64
+		if e.srcProf != nil {
+			dt = profile.Now()
+		}
+		n := e.ring.PopBatch(pkts[:min(len(pkts), budget)])
+		if e.srcProf != nil {
+			e.srcProf.AddExact(profile.StageDequeue, profile.Now()-dt)
+		}
+		if n == 0 {
+			return nil
+		}
+		budget -= n
+		if count {
+			e.advance(pkts[0].Time, pkts[n-1].Time, int64(n))
+		}
+		if d := e.consumerDelay(); d > 0 {
+			time.Sleep(d)
+		}
+		// Traced packets follow the first low-level node through the
+		// DAG (one terminal disposition per trace).
+		var matches []tracing.SourceMatch
+		if e.tr != nil && len(e.low) > 0 {
+			matches = e.tr.TakeSource(base, n)
+		}
+		for _, low := range e.low {
+			if low.failed {
+				matches = nil
+				continue
+			}
+			if err := e.guardNode(low, func() error {
+				return e.processLowBatch(low, pkts, n, scratch, matches)
+			}); err != nil {
+				return err
+			}
+			matches = nil
+		}
+		if err := e.runPartialBatch(pkts, n, scratch); err != nil {
+			return err
+		}
+		if err := e.drainHigh(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // offerSource admits and pushes one packet into the source ring,
 // threading the provenance tracer's offer through admission so a shed
-// packet finishes with the shed disposition. Run's producer only. The
-// fill loop guarantees ring space, so under drop-tail and block the push
+// packet finishes with the shed disposition. fill only. The fill loop
+// guarantees ring space, so under drop-tail and block the push
 // cannot fail — block degenerates to drop-tail here, and the drop path
 // below is reachable only defensively.
 func (e *Engine) offerSource(p trace.Packet) {
@@ -619,11 +648,6 @@ func (e *Engine) Drops() uint64 { return e.ring.Drops() }
 
 // RingCap returns the source ring buffer's capacity.
 func (e *Engine) RingCap() int { return e.ring.Cap() }
-
-// SetShardRingCap overrides the per-shard ring capacity RunParallel gives
-// sharded partial-aggregation nodes (default 4096); chaos tests use
-// deliberately tiny rings to force overload. n <= 0 restores the default.
-func (e *Engine) SetShardRingCap(n int) { e.shardCap = n }
 
 // Utilization returns node busy time divided by the simulated stream
 // duration: the fraction of one CPU the node consumes to keep up with the

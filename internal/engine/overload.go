@@ -24,21 +24,21 @@ import (
 // reconciled from the ring's own counters at batch boundaries
 // (Controller.ObserveRing).
 //
-// Where the gates live depends on the run mode. Run has one gate on the
-// shared source ring; its producer is self-clocked (fill the ring, then
-// drain it), so nothing ever drops there and block degenerates to
-// drop-tail, while shed-sample still applies its admission draw — useful
-// for deterministic shed accounting, not for load balancing. Paced
-// RunParallel is where policies earn their keep: the producer never waits
-// for consumers, so each low-level ring and each shard ring gets a gate
-// and the policy decides what an overflowing ring costs (drops, sheds, or
-// bounded blocking). Unpaced RunParallel already backpressures — the
-// moral equivalent of block with no timeout — and runs ungated.
+// There is one gate, on the source ring, owned by whichever goroutine
+// offers packets. Run and sessions are self-clocked (the pump fills the
+// ring, then drains it), so nothing ever drops there and block
+// degenerates to drop-tail, while shed-sample still applies its admission
+// draw — useful for deterministic shed accounting, not for load
+// balancing. Paced RunParallel is where policies earn their keep: its
+// producer goroutine never waits for the pump, so the policy decides what
+// an overflowing ring costs (drops, sheds, or bounded blocking). Unpaced
+// RunParallel already backpressures — the moral equivalent of block with
+// no timeout — and runs ungated.
 //
 // Fault injection (SetFaults) wraps the feed with internal/overload's
 // deterministic injectors before the run starts, and applies the
-// slow-consumer delay inside the engine's consumer loops, where a feed
-// wrapper cannot reach.
+// slow-consumer delay inside the pump's drain loop, where a feed wrapper
+// cannot reach.
 
 // SetOverload sets the engine-wide admission policy, overriding any
 // OVERLOAD plan hints. Call before Run or RunParallel; it errors once a
@@ -54,7 +54,7 @@ func (e *Engine) SetOverload(cfg overload.Config) error {
 
 // SetFaults attaches a deterministic fault-injector set: the engine wraps
 // its feed with f at run start and honors f's slow-consumer delay in the
-// consumer loops. A nil f disables injection. It errors once a run or
+// pump's drain loop. A nil f disables injection. It errors once a run or
 // session is active.
 func (e *Engine) SetFaults(f *overload.Faults) error {
 	if err := e.setterGuard("SetFaults"); err != nil {
@@ -68,29 +68,21 @@ func (e *Engine) SetFaults(f *overload.Faults) error {
 func (e *Engine) Faults() *overload.Faults { return e.faults }
 
 // Overload returns a snapshot of every admission controller of the
-// current (or most recent) run, one per gated ring. Safe from any
-// goroutine; empty before the first run and after ungated (unpaced
-// parallel) runs.
+// current (or most recent) run: the source gate's, labeled
+// "source"/"0". Safe from any goroutine; empty before the first run and
+// after ungated (unpaced parallel) runs.
 func (e *Engine) Overload() []overload.Snapshot {
-	gs := e.gates.Load()
-	if gs == nil {
+	g := e.pubGate.Load()
+	if g == nil {
 		return nil
 	}
-	out := make([]overload.Snapshot, 0, len(*gs))
-	for _, g := range *gs {
-		out = append(out, g.ctrl.Snapshot(g.node, g.ringLbl))
-	}
-	return out
+	return []overload.Snapshot{g.ctrl.Snapshot(g.node, g.ringLbl)}
 }
-
-// setGates publishes the run's gate list for Overload and /debug/state.
-func (e *Engine) setGates(gs []*ringGate) { e.gates.Store(&gs) }
 
 // resolveOverload returns the admission config for one ring: the
 // engine-wide override when set, else the plan's OVERLOAD hint, else
-// drop-tail defaults. The seed is perturbed per ring (node and ring
-// label) so replicated rings draw independent but reproducible admission
-// schedules.
+// drop-tail defaults. The seed is perturbed by the ring's node and ring
+// label, keeping admission schedules reproducible per ring.
 func (e *Engine) resolveOverload(plan *gsql.Plan, node, ringLbl string) overload.Config {
 	var cfg overload.Config
 	if e.olSet {
@@ -110,7 +102,7 @@ func (e *Engine) resolveOverload(plan *gsql.Plan, node, ringLbl string) overload
 	return cfg
 }
 
-// sourcePlan picks the plan whose OVERLOAD hint governs Run's shared
+// sourcePlan picks the plan whose OVERLOAD hint governs the shared
 // source ring: the first low-level node carrying one (the ring feeds all
 // of them; SetOverload trumps this in resolveOverload).
 func (e *Engine) sourcePlan() *gsql.Plan {
@@ -134,8 +126,8 @@ type overloadMetrics struct {
 }
 
 // ringGate pairs one ring with its admission controller. All methods
-// except sync-published reads belong to the producer goroutine owning the
-// ring.
+// except sync-published reads belong to the goroutine offering packets
+// into the ring.
 type ringGate struct {
 	ctrl    *overload.Controller
 	ring    *ringbuf.Ring[trace.Packet]
@@ -182,8 +174,8 @@ func (e *Engine) newGate(cfg overload.Config, ring *ringbuf.Ring[trace.Packet], 
 	return g
 }
 
-// offer admits and pushes one packet under the gate's policy (paced
-// RunParallel's per-packet path). Drop-tail stays the ring's native
+// offer admits and pushes one packet under the gate's policy (the paced
+// RunParallel producer's per-packet path). Drop-tail stays the ring's native
 // push-or-drop; shed-sample runs the admission draw first; block waits up
 // to the timeout for ring space before declaring the drop. The gate's
 // ring is SPSC with this goroutine as the only producer, so observing
@@ -221,56 +213,6 @@ func (g *ringGate) offer(p trace.Packet) {
 	}
 }
 
-// offerBatch admits and pushes a routed batch under the gate's policy
-// (the shard router's flush path). The drop-tail arm is byte-for-byte the
-// pre-gate behavior: one PushBatch, remainder dropped and counted.
-func (g *ringGate) offerBatch(buf []trace.Packet) {
-	switch g.policy {
-	case overload.ShedSample:
-		kept := buf[:0]
-		for _, p := range buf {
-			if g.ctrl.Admit(g.ring.Len(), g.ring.Cap()) {
-				kept = append(kept, p)
-			}
-		}
-		n := g.ring.PushBatch(kept)
-		if n < len(kept) {
-			d := uint64(len(kept) - n)
-			g.ring.AddDrops(d)
-			g.ctrl.NoteDrop(d)
-		}
-	case overload.Block:
-		for range buf {
-			g.ctrl.Admit(g.ring.Len(), g.ring.Cap())
-		}
-		deadline := time.Now().Add(g.timeout)
-		for len(buf) > 0 {
-			n := g.ring.PushBatch(buf)
-			buf = buf[n:]
-			if len(buf) == 0 {
-				return
-			}
-			if n > 0 {
-				// Progress restarts the clock: the timeout bounds a stall,
-				// not the whole batch.
-				deadline = time.Now().Add(g.timeout)
-			}
-			if time.Now().After(deadline) {
-				d := uint64(len(buf))
-				g.ring.AddDrops(d)
-				g.ctrl.NoteDrop(d)
-				return
-			}
-			runtime.Gosched()
-		}
-	default:
-		n := g.ring.PushBatch(buf)
-		if n < len(buf) {
-			g.ring.AddDrops(uint64(len(buf) - n))
-		}
-	}
-}
-
 // sync reconciles drop-tail accounting from the ring's counters and
 // mirrors the controller into the streamop_overload_* gauges. Producer
 // goroutine, batch-boundary cadence — never per packet.
@@ -302,7 +244,8 @@ type gateRegistry struct {
 	olCfg  overload.Config
 	olSet  bool
 	faults *overload.Faults
-	gates  atomic.Pointer[[]*ringGate]
-	// srcGate guards the shared source ring during Run.
+	// srcGate guards the shared source ring; nil during an unpaced
+	// RunParallel. pubGate publishes it for Overload and /debug/state.
 	srcGate *ringGate
+	pubGate atomic.Pointer[ringGate]
 }

@@ -2,442 +2,186 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"streamop/internal/profile"
-	"streamop/internal/ringbuf"
 	"streamop/internal/trace"
-	"streamop/internal/tuple"
 )
 
-// RunParallel runs the node tree with real concurrency, the way Gigascope
-// deploys it: the packet producer, every low-level node and every
-// high-level node each run on their own goroutine, connected by bounded
-// buffers. Each low-level selection node drains a private SPSC ring fed
-// by the producer; each low-level partial-aggregation node fans out into
-// shard replicas with private rings and private group-table stripes (see
-// shard.go), routed by group-key hash so no shard shares state.
+// RunParallel runs the node tree in the paper's Figure 1 shape with real
+// concurrency: a producer goroutine takes packets from the feed and
+// offers them into the source ring, while the calling goroutine runs the
+// same drain/flush pump as Run and sessions over whatever the ring holds.
 //
 // speedup > 0 paces the producer by packet timestamps accelerated by that
-// factor (speedup 100 replays a 10-second capture in 100 ms). Under
-// pacing the producer never waits for consumers: a node that cannot keep
-// up with the offered rate overflows its ring, and what happens next is
-// the ring's admission policy (see overload.go) — drop-tail by default,
-// which drops and counts the overflow: exactly the line-rate failure mode
-// the paper's low-level queries exist to avoid. speedup <= 0 disables
-// pacing; the producer then applies backpressure (waits for ring space)
-// so nothing drops, and enforces window barriers on sharded nodes so
-// their output is window-monotone and final aggregates match Run exactly
-// (the property shard_test.go checks).
+// factor (speedup 100 replays a 10-second capture in 100 ms). A paced
+// producer never waits for the pump: when the pump falls behind, the
+// source ring fills, and what an overflowing ring costs is the source
+// gate's admission policy (see overload.go) — drop-tail by default, which
+// drops and counts the overflow: exactly the line-rate failure mode the
+// paper's low-level queries exist to avoid. speedup <= 0 disables pacing;
+// the producer then waits for ring space, nothing drops, and the run
+// emits exactly Run's rows in Run's order.
 //
-// Output ordering within one node is preserved for selection nodes; a
-// sharded partial node preserves window order (unpaced) but interleaves
-// rows within a window across shards. Interleaving across nodes is
-// nondeterministic. Busy-time accounting still works per node — a
-// sharded node's busy time is the summed CPU time of its replicas — but
-// utilization comparisons are cleanest under Run, which is
-// single-threaded and deterministic. Provenance tracing is ignored under
-// RunParallel (see tracing.go).
+// Provenance tracing is ignored under RunParallel (see tracing.go).
 func (e *Engine) RunParallel(feed trace.Feed, speedup float64) error {
 	return e.RunParallelContext(context.Background(), feed, speedup)
 }
 
 // RunParallelContext is RunParallel with cancellation: when ctx is
-// cancelled the producer stops taking packets from the feed, every worker
-// drains its ring and flushes its open windows through the normal
-// end-of-stream shutdown, and the call returns ctx.Err() (unless a node
-// failure already produced a harder error).
+// cancelled the producer stops taking packets from the feed, the pump
+// drains the ring and flushes every open window through the normal
+// end-of-stream shutdown, and the call returns ctx.Err().
 func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedup float64) error {
-	if len(e.low) == 0 && len(e.lowPartial) == 0 {
-		return fmt.Errorf("engine: no low-level nodes")
-	}
 	if err := e.beginRun(); err != nil {
 		return err
 	}
 	defer e.endRun()
-	if err := e.checkpointRunnable(true, speedup); err != nil {
-		return err
-	}
-	feed = e.faults.Wrap(feed)
-	e.resumeFastForward(feed)
+	return e.pump(ctx, feed, nil, &producer{speedup: speedup})
+}
 
-	// Private ring per low-level selection node, same capacity as the
-	// source ring. In paced mode each ring gets an admission gate; unpaced
-	// mode backpressures instead (block with no timeout, in effect) and
-	// runs ungated.
-	rings := make([]*ringbuf.Ring[trace.Packet], len(e.low))
-	var gates []*ringGate
-	if speedup > 0 {
-		gates = make([]*ringGate, len(e.low))
-	}
-	for i, low := range e.low {
-		r, err := ringbuf.New[trace.Packet](e.ring.Cap())
-		if err != nil {
-			return err
-		}
-		rings[i] = r
-		if gates != nil {
-			gates[i] = e.newGate(e.resolveOverload(low.plan, low.name, "0"), r, low.name, "0")
-		}
-	}
-	// Bounded channel per high-level node.
-	chans := make(map[*Node]chan tuple.Tuple, len(e.high))
-	for _, h := range e.high {
-		chans[h] = make(chan tuple.Tuple, 4096)
-	}
-	// Sharded runtime per partial-aggregation node; unpaced runs get the
-	// exactness barrier, paced runs trade it for zero producer stalls.
-	sets := make([]*shardSet, len(e.lowPartial))
-	allGates := append([]*ringGate(nil), gates...)
-	for i, pn := range e.lowPartial {
-		s, err := e.newShardSet(pn, chans, speedup <= 0)
-		if err != nil {
-			return err
-		}
-		sets[i] = s
-		pn.rt.Store(s)
-		allGates = append(allGates, s.gates...)
-	}
-	e.setGates(allGates)
-	e.applyRestoredGate()
+// producerBatch is how many packets the unpaced producer collects before
+// one PushBatch, so a whole slice costs one tail publication.
+const producerBatch = 256
 
-	nWorkers := len(e.low) + len(e.high)
-	for _, s := range sets {
-		nWorkers += len(s.workers)
+// producer is RunParallel's feed goroutine. It owns the feed, the pacing
+// clock and the source gate (paced runs only); the pump owns everything
+// else, including the stream counters a snapshot records. The tallies
+// below are written by the producer and read by the pump only after done
+// closes.
+type producer struct {
+	speedup float64
+	e       *Engine
+	feed    trace.Feed
+	ctxDone <-chan struct{}
+	halted  atomic.Bool // set by a pump that stops early
+	done    chan struct{}
+
+	cancelled       bool
+	packets         int64
+	sawPacket       bool
+	firstTS, lastTS uint64
+}
+
+// start launches the producer. A restored run continues from the stream
+// position its snapshot recorded.
+func (p *producer) start(ctx context.Context, e *Engine, feed trace.Feed) {
+	p.e, p.feed, p.ctxDone = e, feed, ctx.Done()
+	p.done = make(chan struct{})
+	p.packets, p.sawPacket = e.packets.Load(), e.sawPacket.Load()
+	p.firstTS, p.lastTS = e.firstTS.Load(), e.lastTS.Load()
+	go p.run()
+}
+
+// stop halts the producer and waits for it to exit; a no-op after the
+// pump has seen it finish.
+func (p *producer) stop() {
+	p.halted.Store(true)
+	<-p.done
+}
+
+// stopping polls for cancellation and for a pump that stopped early.
+func (p *producer) stopping() bool {
+	if p.halted.Load() || p.cancelled {
+		return true
 	}
-	errs := make(chan error, 1+nWorkers)
-	reportErr := func(err error) {
+	if p.ctxDone != nil {
 		select {
-		case errs <- err:
+		case <-p.ctxDone:
+			p.cancelled = true
 		default:
 		}
 	}
+	return p.cancelled
+}
 
-	// Producer.
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		startWall := time.Now()
-		scratch := make(tuple.Tuple, trace.NumFields)
-		ctxDone := ctx.Done()
-		cancelled := false
-		// checkCtx polls for cancellation; nil ctxDone (Background) keeps
-		// the poll off the packet loop entirely.
-		checkCtx := func() bool {
-			if ctxDone == nil || cancelled {
-				return cancelled
-			}
-			select {
-			case <-ctxDone:
-				cancelled = true
-			default:
-			}
-			return cancelled
+func (p *producer) run() {
+	defer close(p.done)
+	g := p.e.srcGate
+	buf := make([]trace.Packet, 0, producerBatch)
+	startWall := time.Now()
+feed:
+	for !p.stopping() {
+		pkt, ok := p.feed.Next()
+		if !ok {
+			break
 		}
-		// Batched transfer into the selection rings (unpaced mode): one
-		// tail publication per slice instead of per packet. Shard routing
-		// rides the same batches — routeBatch evaluates the router's GROUP
-		// BY columnar over the whole slice — which is safe to defer because
-		// the window barrier inside routing orders only the shard rings,
-		// never the selection rings.
-		lowBatch := make([]trace.Packet, 0, shardBatch)
-		flushLow := func() {
-			for _, r := range rings {
-				buf := lowBatch
-				for len(buf) > 0 {
-					n := r.PushBatch(buf)
-					buf = buf[n:]
-					if len(buf) > 0 {
-						runtime.Gosched()
-					}
-				}
-			}
-			for _, s := range sets {
-				if s.routeFailed {
-					continue
-				}
-				if err := s.routeBatch(lowBatch, scratch); err != nil {
-					reportErr(err)
-					s.routeFailed = true
-				}
-			}
-			lowBatch = lowBatch[:0]
+		if !p.sawPacket {
+			p.sawPacket, p.firstTS = true, pkt.Time
 		}
-		for !checkCtx() {
-			p, ok := feed.Next()
-			if !ok {
-				break
+		if g == nil {
+			buf = append(buf, pkt)
+			if len(buf) == cap(buf) {
+				p.push(buf)
+				buf = buf[:0]
 			}
-			if !e.sawPacket.Load() {
-				e.firstTS.Store(p.Time)
-				e.sawPacket.Store(true)
+		} else {
+			// Pace to the accelerated capture clock, then offer once:
+			// the gate's policy decides what a full ring costs.
+			target := time.Duration(float64(pkt.Time-p.firstTS) / p.speedup)
+			for time.Since(startWall) < target {
+				if p.stopping() {
+					break feed
+				}
+				runtime.Gosched()
 			}
-			e.lastTS.Store(p.Time)
-			e.packets.Add(1)
-			if speedup > 0 {
-				// Pace to the accelerated capture clock, then offer once:
-				// the gate's policy decides what a full ring costs.
-				target := time.Duration(float64(p.Time-e.firstTS.Load()) / speedup)
-				for time.Since(startWall) < target && !checkCtx() {
-					runtime.Gosched()
-				}
-				if cancelled {
-					break
-				}
-				for _, g := range gates {
-					g.offer(p)
-				}
-			} else {
-				lowBatch = append(lowBatch, p)
-				if len(lowBatch) == cap(lowBatch) {
-					flushLow()
-				}
-			}
-			if speedup > 0 && len(sets) > 0 {
-				// Paced packets must not sit in routing buffers (pacing
-				// simulates arrival times), so route them one by one; the
-				// unpaced path routes whole batches from flushLow.
-				p.AppendTuple(scratch)
-				for _, s := range sets {
-					if s.routeFailed {
-						continue
-					}
-					if err := s.route(p, scratch); err != nil {
-						reportErr(err)
-						s.routeFailed = true
-					}
-				}
-			}
-			if len(allGates) > 0 && e.packets.Load()%512 == 0 {
-				for _, g := range allGates {
-					g.sync()
-				}
-			}
-			// Periodic checkpoint probe: quiesce the workers (checkpointing
-			// guarantees selection-only low nodes, unpaced), then snapshot if
-			// enough windows closed. A write failure is reported, not fatal —
-			// the stream keeps flowing and the next probe retries.
-			if ck := e.ckpt; ck != nil && ck.cfg.EveryWindows > 0 && e.packets.Load()%ckptProbeInterval == 0 {
-				flushLow()
-				e.quiesceLow(rings)
-				if err := e.maybeCheckpoint(); err != nil {
-					reportErr(err)
-				}
+			g.offer(pkt)
+			if p.packets%512 == 0 {
+				g.sync()
 			}
 		}
-		flushLow()
-		for _, s := range sets {
-			s.flushAll()
-		}
-		// A cancelled run writes its final snapshot after quiescing the
-		// workers but before producerDone releases them into their
-		// end-of-stream flush (which would mutate the open windows the
-		// snapshot must preserve).
-		if ck := e.ckpt; ck != nil && cancelled {
-			e.quiesceLow(rings)
-			if err := e.writeCheckpoint(); err != nil {
-				reportErr(err)
-			}
-		}
-		for _, g := range allGates {
-			g.sync()
-		}
-	}()
-
-	var wg sync.WaitGroup
-
-	// Low-level selection consumers. A worker whose node errors or panics
-	// does not return early — it switches to drain mode (pop, count,
-	// discard) so the producer's backpressure and checkpoint quiesce keep
-	// moving, and closes its subscribers without a flush at end of stream.
-	for i, low := range e.low {
-		wg.Add(1)
-		go func(low *Node, ring *ringbuf.Ring[trace.Packet]) {
-			defer wg.Done()
-			batch := make([]trace.Packet, 256)
-			scratch := make(tuple.Tuple, trace.NumFields)
-			dead := false // erred (reported) or failed (contained panic)
-			for {
-				n := ring.PopBatch(batch)
-				if n == 0 {
-					select {
-					case <-producerDone:
-						if ring.Len() == 0 {
-							if dead {
-								finishLowFailed(low, chans)
-							} else {
-								e.finishLow(low, chans, reportErr)
-							}
-							return
-						}
-					default:
-						runtime.Gosched()
-					}
-					continue
-				}
-				if dead {
-					low.consumed.Add(uint64(n))
-					continue
-				}
-				if d := e.consumerDelay(); d > 0 {
-					time.Sleep(d)
-				}
-				err := e.guardNode(low, func() error {
-					if low.prof == nil {
-						return e.processLowColumnarParallel(low, batch[:n], chans)
-					}
-					start := time.Now()
-					for j := 0; j < n; j++ {
-						if st := low.prof.BeginSrc(); st != 0 {
-							batch[j].AppendTuple(scratch)
-							low.prof.LapMark(profile.StageDequeue, st)
-						} else {
-							batch[j].AppendTuple(scratch)
-						}
-						low.tuplesIn++
-						if err := low.processParallel(scratch, chans); err != nil {
-							low.busy += time.Since(start)
-							return fmt.Errorf("engine: node %q: %w", low.name, err)
-						}
-					}
-					low.busy += time.Since(start)
-					return nil
-				})
-				low.consumed.Add(uint64(n))
-				if err != nil {
-					reportErr(err)
-					dead = true
-					continue
-				}
-				if low.failed {
-					dead = true
-					continue
-				}
-				low.syncTelemetry(0)
-				low.syncRing(ring)
-			}
-		}(low, rings[i])
+		p.packets++
+		p.lastTS = pkt.Time
 	}
-
-	// Shard workers for partial-aggregation nodes.
-	for _, s := range sets {
-		for _, w := range s.workers {
-			wg.Add(1)
-			go func(w *shardWorker) {
-				defer wg.Done()
-				w.run(producerDone, reportErr)
-			}(w)
-		}
-	}
-
-	// High-level consumers (each node's channel is closed by its parent
-	// after the parent flushes — for a sharded parent, by its last
-	// finishing shard worker). A panic is contained like an error, except
-	// nothing is reported: the node is failed, its input drains, and the
-	// run's other queries proceed.
-	for _, h := range e.high {
-		wg.Add(1)
-		go func(h *Node) {
-			defer wg.Done()
-			dead := false
-			for row := range chans[h] {
-				if dead {
-					continue // drain so the parent never blocks
-				}
-				start := time.Now()
-				h.tuplesIn++
-				err := e.guardNode(h, func() error { return h.opProcessParallel(row, chans) })
-				h.busy += time.Since(start)
-				h.syncTelemetry(len(chans[h]))
-				if err != nil {
-					reportErr(fmt.Errorf("engine: node %q: %w", h.name, err))
-					dead = true
-				}
-				if h.failed {
-					dead = true
-				}
-			}
-			if !dead {
-				start := time.Now()
-				err := e.guardNode(h, func() error { return h.opFlushParallel(chans) })
-				h.busy += time.Since(start)
-				if err != nil {
-					reportErr(fmt.Errorf("engine: node %q: %w", h.name, err))
-				}
-			}
-			for _, sub := range h.subs {
-				close(chans[sub])
-			}
-		}(h)
-	}
-
-	wg.Wait()
-	for i, low := range e.low {
-		low.syncTelemetry(0)
-		low.syncRing(rings[i])
-	}
-	for _, s := range sets {
-		s.collect()
-	}
-	for _, h := range e.high {
-		h.syncTelemetry(0)
-	}
-	// Workers are done; their counters are safe to mirror from this
-	// goroutine. (Shard replicas already synced their own profiles.)
-	e.syncProfiles()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return ctx.Err()
+	p.push(buf)
+	if g != nil {
+		g.sync()
 	}
 }
 
-// finishLowFailed closes a dead low node's subscriber channels without
-// flushing its (untrusted or already-erred) operator.
-func finishLowFailed(low *Node, chans map[*Node]chan tuple.Tuple) {
-	for _, sub := range low.subs {
-		close(chans[sub])
+// push moves buf into the source ring, waiting for space: the unpaced
+// producer's backpressure. It gives up only when the pump has stopped.
+func (p *producer) push(buf []trace.Packet) {
+	r := p.e.ring
+	for len(buf) > 0 {
+		n := r.PushBatch(buf)
+		buf = buf[n:]
+		if len(buf) > 0 {
+			if p.halted.Load() {
+				return
+			}
+			runtime.Gosched()
+		}
 	}
 }
 
-// finishLow flushes a low node and closes its subscribers' channels.
-func (e *Engine) finishLow(low *Node, chans map[*Node]chan tuple.Tuple, reportErr func(error)) {
-	err := e.guardNode(low, func() error {
-		start := time.Now()
-		err := low.opFlushParallel(chans)
-		low.busy += time.Since(start)
-		return err
-	})
-	if err != nil {
-		reportErr(fmt.Errorf("engine: node %q: %w", low.name, err))
+// wait holds the pump until the source ring has packets, reporting true
+// once the producer has finished: the ring then holds its last packets,
+// at most one drain's worth.
+func (p *producer) wait() bool {
+	for p.e.ring.Len() == 0 {
+		select {
+		case <-p.done:
+			return true
+		default:
+			runtime.Gosched()
+		}
 	}
-	for _, sub := range low.subs {
-		close(chans[sub])
-	}
+	return false
 }
 
-// processParallel and friends route the node's emissions to subscriber
-// channels for the duration of the call (emit checks parallelChans).
-// Channel sends block when a consumer falls behind: backpressure instead
-// of unbounded queueing.
-func (n *Node) processParallel(t tuple.Tuple, chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Process(t)
-}
-
-func (n *Node) opProcessParallel(t tuple.Tuple, chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Process(t)
-}
-
-func (n *Node) opFlushParallel(chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Flush()
+// finish folds the producer's tallies into the stream counters once it
+// has exited: a paced gate may have shed or dropped packets the pump
+// never popped, and Packets counts every packet offered. Unpaced, the
+// tallies equal what the pump counted. It reports whether the run was
+// cancelled.
+func (p *producer) finish() bool {
+	<-p.done
+	e := p.e
+	e.packets.Store(p.packets)
+	e.sawPacket.Store(p.sawPacket)
+	e.firstTS.Store(p.firstTS)
+	e.lastTS.Store(p.lastTS)
+	return p.cancelled
 }

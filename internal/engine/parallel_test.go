@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,49 +11,99 @@ import (
 	"streamop/internal/tuple"
 )
 
-// buildCounting builds a two-level topology (pass-through low, per-second
-// counting high) and returns the engine and an atomic total.
-func buildCounting(t *testing.T) (*engine.Engine, *atomic.Int64) {
+// exactTopology wires one engine with every node shape the pump drives:
+// a selection node feeding an ESTIMATE ... WITH ERROR query, and a
+// 64-slot partial-aggregation node (small enough to evict) re-aggregated
+// at the high level. Every node's rows are recorded in emission order.
+func exactTopology(t *testing.T) (*engine.Engine, *engine.PartialNode, map[string]*[]string) {
 	t.Helper()
-	e, _ := engine.New(8192)
-	low := mustPlan(t, "SELECT time, len, uts FROM PKT", trace.Schema())
-	lowNode, err := e.AddLowLevel("l", low)
+	e, err := engine.New(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high := mustPlan(t, "SELECT tb, count(*) FROM l GROUP BY time/1 as tb", lowNode.Schema())
-	n, err := e.AddHighLevel("h", lowNode, high)
+	sel, err := e.AddLowLevel("sel", mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total atomic.Int64
-	n.Subscribe(func(row tuple.Tuple) error {
-		total.Add(row[1].AsInt())
-		return nil
-	})
-	return e, &total
+	est, err := e.AddHighLevel("est", sel, mustPlan(t, estEngQuery, sel.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := e.AddLowLevelPartialAgg("part", mustPlan(t,
+		"SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP",
+		trace.Schema()), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := e.AddHighLevel("final", part.Base(), mustPlan(t,
+		"SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM part GROUP BY tb/1 as tb2, srcIP", part.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]*[]string{}
+	for _, n := range []*engine.Node{sel, est, part.Base(), final} {
+		sink := &[]string{}
+		rows[n.Stats().Name] = sink
+		n.Subscribe(func(row tuple.Tuple) error {
+			*sink = append(*sink, fmtRow(row))
+			return nil
+		})
+	}
+	return e, part, rows
 }
 
+// TestRunParallelMatchesRun: unpaced RunParallel must reproduce Run row
+// for row, in emission order, at every node — selection, estimation,
+// partial aggregation with collision evictions, and re-aggregation —
+// with identical node counters.
 func TestRunParallelMatchesRun(t *testing.T) {
-	cfg := trace.SteadyConfig{Seed: 31, Duration: 2, Rate: 20000}
-
-	eSeq, seqTotal := buildCounting(t)
-	feed1, _ := trace.NewSteady(cfg)
-	if err := eSeq.Run(feed1); err != nil {
-		t.Fatal(err)
-	}
-
-	ePar, parTotal := buildCounting(t)
-	feed2, _ := trace.NewSteady(cfg)
-	if err := ePar.RunParallel(feed2, 0); err != nil { // unpaced: backpressure, no drops
-		t.Fatal(err)
-	}
-
-	if seqTotal.Load() != parTotal.Load() {
-		t.Errorf("parallel counted %d, sequential %d", parTotal.Load(), seqTotal.Load())
-	}
-	if ePar.Packets() != eSeq.Packets() {
-		t.Errorf("packets: parallel %d, sequential %d", ePar.Packets(), eSeq.Packets())
+	for _, hosts := range []int{4, 400} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			cfg := trace.SteadyConfig{Seed: uint64(31 + hosts), Duration: 3.9, Rate: 30000, Hosts: uint64(hosts)}
+			eSeq, pSeq, seqRows := exactTopology(t)
+			feed, _ := trace.NewSteady(cfg)
+			if err := eSeq.Run(feed); err != nil {
+				t.Fatal(err)
+			}
+			ePar, pPar, parRows := exactTopology(t)
+			feed, _ = trace.NewSteady(cfg)
+			if err := ePar.RunParallel(feed, 0); err != nil {
+				t.Fatal(err)
+			}
+			if ePar.Packets() != eSeq.Packets() || ePar.Drops() != 0 {
+				t.Fatalf("packets: parallel %d (drops %d), Run %d", ePar.Packets(), ePar.Drops(), eSeq.Packets())
+			}
+			if ePar.StreamDuration() != eSeq.StreamDuration() {
+				t.Errorf("stream duration: parallel %v, Run %v", ePar.StreamDuration(), eSeq.StreamDuration())
+			}
+			if hosts > 64 && pSeq.Evictions() == 0 {
+				t.Fatal("no collision evictions; the partial table is too large for the test to bite")
+			}
+			if pPar.Evictions() != pSeq.Evictions() {
+				t.Errorf("evictions: parallel %d, Run %d", pPar.Evictions(), pSeq.Evictions())
+			}
+			for name, want := range seqRows {
+				got := *parRows[name]
+				if len(*want) == 0 {
+					t.Fatalf("%s: Run emitted no rows; test has no power", name)
+				}
+				if len(got) != len(*want) {
+					t.Fatalf("%s: parallel emitted %d rows, Run %d", name, len(got), len(*want))
+				}
+				for i := range got {
+					if got[i] != (*want)[i] {
+						t.Fatalf("%s: row %d diverged:\n  parallel: %s\n  Run:      %s", name, i, got[i], (*want)[i])
+					}
+				}
+			}
+			seqNodes, parNodes := eSeq.Nodes(), ePar.Nodes()
+			for i := range seqNodes {
+				s, p := seqNodes[i].Stats(), parNodes[i].Stats()
+				if s.TuplesIn != p.TuplesIn || s.TuplesOut != p.TuplesOut || s.Operator != p.Operator {
+					t.Errorf("node %s: Run %+v, parallel %+v", s.Name, s, p)
+				}
+			}
+		})
 	}
 }
 
@@ -137,9 +188,8 @@ func TestRunParallelErrorPropagates(t *testing.T) {
 }
 
 // TestRunParallelAcceptsPartialNodes: a partial-only topology (no
-// selection nodes, no high level) runs sharded under RunParallel and
-// still produces output. Exactness is shard_test.go's job; this is the
-// acceptance check for the formerly rejected shape.
+// selection nodes, no high level) runs under RunParallel and folds every
+// packet. Exactness is TestRunParallelMatchesRun's job.
 func TestRunParallelAcceptsPartialNodes(t *testing.T) {
 	e, _ := engine.New(1024)
 	plan := mustPlan(t, "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb", trace.Schema())
@@ -157,10 +207,10 @@ func TestRunParallelAcceptsPartialNodes(t *testing.T) {
 		t.Fatalf("RunParallel rejected partial nodes: %v", err)
 	}
 	if rows.Load() == 0 {
-		t.Error("sharded partial node emitted nothing")
+		t.Error("partial node emitted nothing")
 	}
 	if got := pn.Stats().TuplesIn; got != e.Packets() {
-		t.Errorf("shards folded %d of %d packets", got, e.Packets())
+		t.Errorf("partial node folded %d of %d packets", got, e.Packets())
 	}
 }
 

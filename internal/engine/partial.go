@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"streamop/internal/agg"
@@ -20,15 +19,6 @@ import (
 // bounded. The high-level query re-aggregates the partial rows; the
 // paper's §8 notes this is the right low-level support for the
 // Manku-Motwani heavy hitters algorithm.
-//
-// Under RunParallel the node fans out into shard replicas (see shard.go),
-// each owning a disjoint stripe of the slot space: global slot
-// s = hash & mask belongs to shard s % nshards and lives at local index
-// s / nshards in that shard's table. Because the producer routes each
-// packet to the shard owning its group's slot, the per-slot event sequence
-// (fold, collision eviction, window flush) is identical to the
-// single-table Run, which is what makes sharded aggregates and eviction
-// counts exactly match the sequential ones.
 
 // partialGroup is one slot of the direct-mapped table.
 type partialGroup struct {
@@ -38,13 +28,11 @@ type partialGroup struct {
 }
 
 // ptable is one direct-mapped partial-aggregation table plus its window
-// state: the whole table for the single-threaded Run, or one shard's
-// stripe under RunParallel. Exactly one goroutine owns a ptable.
+// state.
 type ptable struct {
 	name      string
 	slots     []partialGroup
-	mask      uint64 // global slot mask (slot = key hash & mask)
-	div       uint64 // stripe divisor: 1 for the full table, nshards for a stripe
+	mask      uint64 // slot = key hash & mask
 	plan      *gsql.Plan
 	ctx       gsql.Ctx
 	gbVals    []value.Value
@@ -64,12 +52,11 @@ type ptable struct {
 	vec *ptableVec
 }
 
-func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(tuple.Tuple) error) ptable {
+func newPtable(name string, plan *gsql.Plan, slots int, emit func(tuple.Tuple) error) ptable {
 	return ptable{
 		name:   name,
 		slots:  make([]partialGroup, slots),
-		mask:   mask,
-		div:    div,
+		mask:   uint64(slots - 1),
 		plan:   plan,
 		gbVals: make([]value.Value, len(plan.GroupBy)),
 		emit:   emit,
@@ -115,11 +102,7 @@ func (t *ptable) process(tp tuple.Tuple) error {
 	}
 
 	key := tuple.MakeKey(t.gbVals)
-	idx := key.Hash() & t.mask
-	if t.div > 1 {
-		idx /= t.div
-	}
-	slot := &t.slots[idx]
+	slot := &t.slots[key.Hash()&t.mask]
 	if slot.used && !slot.key.Equal(key) {
 		// Collision: emit the resident partial row and take the slot. The
 		// eviction is exactly timed in emitSlot; pause the lap around it.
@@ -249,36 +232,12 @@ func (t *ptable) syncProfile() {
 type PartialNode struct {
 	Node
 	table ptable
-	// shards is the configured replica count for RunParallel; 0 means
-	// unresolved (plan hint, then DefaultShards).
-	shards int
-	// rt is the live sharded runtime, published for /debug/state while a
-	// RunParallel run is in flight (nil under Run or before the first
-	// parallel run).
-	rt shardRTRef
-}
-
-// DefaultShards returns the shard count a partial-aggregation node fans
-// out into under RunParallel when neither SetShards nor the plan's SHARDS
-// hint picked one: GOMAXPROCS minus one core reserved for the producer,
-// at least 1, at most 16 (fan-out beyond that only adds ring traffic on
-// the feeds this engine replays).
-func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
 }
 
 // AddLowLevelPartialAgg registers a low-level partial-aggregation node.
 // plan must be a grouping query over PKT without sampling clauses or
 // superaggregates (low-level nodes are deliberately simple). slots is
-// rounded up to a power of two. A SHARDS hint on the plan seeds the
-// node's RunParallel shard count (see SetShards).
+// rounded up to a power of two.
 func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) (*PartialNode, error) {
 	if plan.Schema.Name() != trace.Schema().Name() {
 		return nil, fmt.Errorf("engine: partial-agg node %q must read PKT, got %q", name, plan.Schema.Name())
@@ -292,7 +251,7 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	}
 	if len(plan.Estimates) > 0 {
 		// ESTIMATE columns need the operator's sampling states and
-		// window-scoped HT pass; the sharded fold path has neither. Run
+		// window-scoped HT pass; the direct-mapped fold has neither. Run
 		// estimating queries as regular low-level nodes.
 		return nil, fmt.Errorf("engine: partial-agg node %q cannot compute ESTIMATE columns", name)
 	}
@@ -310,11 +269,8 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	if err != nil {
 		return nil, err
 	}
-	n := &PartialNode{
-		Node:   Node{name: name, plan: plan, schema: schema, low: true},
-		shards: plan.Shards,
-	}
-	n.table = newPtable(name, plan, size, uint64(size-1), 1, n.emit)
+	n := &PartialNode{Node: Node{name: name, plan: plan, schema: schema, low: true}}
+	n.table = newPtable(name, plan, size, n.emit)
 	if e.tel != nil {
 		e.instrumentNode(&n.Node)
 	}
@@ -325,37 +281,12 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	return n, nil
 }
 
-// SetShards fixes the node's RunParallel fan-out. count < 1 restores the
-// default resolution (plan SHARDS hint, then DefaultShards). The resolved
-// count is additionally clamped to the slot-table size, since a shard
-// owning no slot stripe would never receive a packet.
-func (n *PartialNode) SetShards(count int) {
-	if count < 1 {
-		count = n.plan.Shards
-	}
-	n.shards = count
-}
-
-// Shards returns the shard count the node will fan out into under
-// RunParallel.
-func (n *PartialNode) Shards() int {
-	c := n.shards
-	if c < 1 {
-		c = DefaultShards()
-	}
-	if c > len(n.table.slots) {
-		c = len(n.table.slots)
-	}
-	return c
-}
-
 // Evictions returns the number of partial rows emitted due to slot
 // collisions (as opposed to window closes): the measure of how undersized
-// the table is for the workload. After a sharded RunParallel this is the
-// sum across shard replicas.
+// the table is for the workload.
 func (n *PartialNode) Evictions() int64 { return n.table.evictions }
 
-// process folds one packet tuple into the table (Run's single-table path).
+// process folds one packet tuple into the table.
 func (n *PartialNode) process(t tuple.Tuple) error {
 	n.tuplesIn++
 	return n.table.process(t)

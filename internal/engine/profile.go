@@ -8,11 +8,10 @@ import (
 
 // Profiling instrumentation (see internal/profile). The engine owns the
 // stages the operator cannot see: ring PopBatch (exact, charged to the
-// "source" pseudo-node, matching the telemetry/overload naming), the
+// "source" pseudo-node, matching the telemetry/overload naming) and the
 // per-node packet→tuple conversion (sampled on each node's independent
-// source schedule), and — under RunParallel — one NodeProfile per shard
-// replica so workers never share schedule state. Exact row counts are
-// mirrored from the engine's existing counters at batch boundaries.
+// source schedule). Exact row counts are mirrored from the engine's
+// existing counters at batch boundaries.
 //
 // The profiler handle itself lives in an atomic pointer because the
 // /debug/profile source runs on the HTTP goroutine; the per-node handles
@@ -71,8 +70,8 @@ type profFields struct {
 
 // syncProfiles mirrors the engine-owned exact row counts into the node
 // profiles: the source ring's offered/popped packets and each node's
-// conversion counts. Called from the run loop's owning goroutine at batch
-// boundaries and at end of run.
+// conversion counts. Called from the pump at batch boundaries and at end
+// of run.
 func (e *Engine) syncProfiles() {
 	if e.prof.Load() == nil {
 		return

@@ -230,37 +230,38 @@ func TestDebugProfileConcurrentScrape(t *testing.T) {
 	}
 }
 
-// TestProfileRunParallelShards checks that a sharded partial-aggregation
-// node reports per-shard profiles with non-zero fold costs.
-func TestProfileRunParallelShards(t *testing.T) {
+// TestProfileRunParallel checks that a partial-aggregation node profiled
+// under RunParallel reports its fold costs from the shared pump: one
+// unsharded profile whose group-lookup rows cover every packet.
+func TestProfileRunParallel(t *testing.T) {
 	e, _ := engine.New(1024)
 	plan := mustPlan(t, "SELECT tb, srcIP, count(*), sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-	pn, err := e.AddLowLevelPartialAgg("partial", plan, 64)
-	if err != nil {
+	if _, err := e.AddLowLevelPartialAgg("partial", plan, 64); err != nil {
 		t.Fatal(err)
 	}
-	pn.SetShards(2)
 	p := profile.New(profile.Config{Every: 8, Seed: 4})
 	e.SetProfiler(p)
 	feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 6, Duration: 3, Rate: 20000})
 	if err := e.RunParallel(feed, 0); err != nil {
 		t.Fatal(err)
 	}
-	rep := p.Report()
-	shards := 0
-	for _, n := range rep.Nodes {
-		if n.Node == "partial" && n.Shard >= 0 {
-			shards++
-			gl := n.Stages[profile.StageGroupLookup]
-			if gl.RowsIn <= 0 {
-				t.Errorf("shard %d group_lookup rows_in = %d, want > 0", n.Shard, gl.RowsIn)
-			}
-			if n.SelfNS <= 0 {
-				t.Errorf("shard %d SelfNS = %v, want > 0", n.Shard, n.SelfNS)
-			}
+	found := false
+	for _, n := range p.Report().Nodes {
+		if n.Node != "partial" {
+			continue
+		}
+		found = true
+		if n.Shard != -1 {
+			t.Errorf("partial profile has shard %d, want -1 (unsharded)", n.Shard)
+		}
+		if gl := n.Stages[profile.StageGroupLookup]; gl.RowsIn != e.Packets() {
+			t.Errorf("group_lookup rows_in = %d, want every packet (%d)", gl.RowsIn, e.Packets())
+		}
+		if n.SelfNS <= 0 {
+			t.Errorf("SelfNS = %v, want > 0", n.SelfNS)
 		}
 	}
-	if shards != 2 {
-		t.Errorf("report has %d shard profiles, want 2", shards)
+	if !found {
+		t.Error("report has no profile for the partial node")
 	}
 }

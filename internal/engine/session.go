@@ -214,6 +214,11 @@ func (e *Engine) StartWith(ctx context.Context, feed trace.Feed, opts StartOptio
 	if feed == nil {
 		return fmt.Errorf("engine: session needs a feed")
 	}
+	if e.ckpt != nil {
+		if name := e.unpersistedNode(); name != "" {
+			return fmt.Errorf("engine: node %q is neither an installed query nor a tap, so a durable session snapshot cannot carry it; install it instead", name)
+		}
+	}
 	if err := e.beginRun(); err != nil {
 		return err
 	}
@@ -229,7 +234,7 @@ func (e *Engine) StartWith(ctx context.Context, feed trace.Feed, opts StartOptio
 	e.sess = s
 	e.sessMu.Unlock()
 	go func() {
-		err := e.runSerial(ctx, feed, s)
+		err := e.pump(ctx, feed, s, nil)
 		s.finish(err)
 	}()
 	return nil

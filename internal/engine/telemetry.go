@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
-	"streamop/internal/trace"
 )
 
 // Telemetry instrumentation for the two-level runtime: per-node
@@ -11,19 +9,17 @@ import (
 // drops — the quantities behind the paper's Figures 5 and 6 (per-node CPU)
 // and the line-rate drop accounting of §2.
 //
-// Node counters are plain fields written by the node's owning goroutine;
-// telemetry mirrors them into gauges at batch boundaries, so RunParallel
-// stays contention-free (each node owns distinct gauge children) and the
-// uninstrumented path costs one nil check per batch.
+// Node counters are plain fields written by the pump; telemetry mirrors
+// them into gauges at batch boundaries, so the uninstrumented path costs
+// one nil check per batch.
 
 // nodeMetrics caches a node's gauge handles.
 type nodeMetrics struct {
 	in, out, busy, queue *telemetry.Gauge
-	ringOcc, ringDrops   *telemetry.Gauge
 }
 
-// sourceMetrics caches the engine-level gauges for the shared source ring
-// (Run's single producer ring; RunParallel rings are per node).
+// sourceMetrics caches the engine-level gauges for the shared source
+// ring.
 type sourceMetrics struct {
 	occ, drops, peak, packets *telemetry.Gauge
 }
@@ -49,8 +45,8 @@ func (e *Engine) SetCollector(c *telemetry.Collector) error {
 	e.tel = c
 	r := c.Registry()
 	e.sm = &sourceMetrics{
-		occ:     r.GaugeVec("streamop_ring_occupancy", "ring-buffer fill feeding the node (RunParallel) or the engine (Run)", "node").With("source"),
-		drops:   r.GaugeVec("streamop_ring_drops", "packets dropped at the node's ring buffer", "node").With("source"),
+		occ:     r.GaugeVec("streamop_ring_occupancy", "source ring-buffer fill", "node").With("source"),
+		drops:   r.GaugeVec("streamop_ring_drops", "packets dropped at the source ring buffer", "node").With("source"),
 		peak:    r.GaugeVec("streamop_ring_peak_occupancy", "high-water mark of the source ring", "node").With("source"),
 		packets: r.Gauge("streamop_engine_packets", "packets the feed offered to the engine"),
 	}
@@ -67,12 +63,10 @@ func (e *Engine) Collector() *telemetry.Collector { return e.tel }
 func (e *Engine) instrumentNode(n *Node) {
 	r := e.tel.Registry()
 	n.nm = &nodeMetrics{
-		in:        r.GaugeVec("streamop_node_tuples_in", "tuples offered to the node", "node").With(n.name),
-		out:       r.GaugeVec("streamop_node_tuples_out", "tuples the node emitted downstream", "node").With(n.name),
-		busy:      r.GaugeVec("streamop_node_busy_seconds", "wall-clock time inside the node's processing loop", "node").With(n.name),
-		queue:     r.GaugeVec("streamop_node_queue_depth", "pending input tuples buffered for the node", "node").With(n.name),
-		ringOcc:   r.GaugeVec("streamop_ring_occupancy", "ring-buffer fill feeding the node (RunParallel) or the engine (Run)", "node").With(n.name),
-		ringDrops: r.GaugeVec("streamop_ring_drops", "packets dropped at the node's ring buffer", "node").With(n.name),
+		in:    r.GaugeVec("streamop_node_tuples_in", "tuples offered to the node", "node").With(n.name),
+		out:   r.GaugeVec("streamop_node_tuples_out", "tuples the node emitted downstream", "node").With(n.name),
+		busy:  r.GaugeVec("streamop_node_busy_seconds", "wall-clock time inside the node's processing loop", "node").With(n.name),
+		queue: r.GaugeVec("streamop_node_queue_depth", "pending input tuples buffered for the node", "node").With(n.name),
 	}
 	if n.op != nil {
 		n.op.SetCollector(e.tel, n.name)
@@ -80,7 +74,7 @@ func (e *Engine) instrumentNode(n *Node) {
 }
 
 // syncTelemetry mirrors the node's counters into its gauges; queueDepth is
-// the caller's current buffered-input depth (queue slice or channel).
+// the caller's current buffered-input depth.
 func (n *Node) syncTelemetry(queueDepth int) {
 	m := n.nm
 	if m == nil {
@@ -92,17 +86,7 @@ func (n *Node) syncTelemetry(queueDepth int) {
 	m.queue.Set(float64(queueDepth))
 }
 
-// syncRing mirrors one ring's occupancy and drop count into the node's
-// gauges (RunParallel gives every low-level node a private ring).
-func (n *Node) syncRing(r *ringbuf.Ring[trace.Packet]) {
-	if n.nm == nil {
-		return
-	}
-	n.nm.ringOcc.Set(float64(r.Len()))
-	n.nm.ringDrops.Set(float64(r.Drops()))
-}
-
-// syncSourceRing mirrors the engine's shared source ring (Run) into the
+// syncSourceRing mirrors the engine's shared source ring into the
 // engine-level gauges under the pseudo-node name "source".
 func (e *Engine) syncSourceRing() {
 	if e.sm == nil {
@@ -114,8 +98,8 @@ func (e *Engine) syncSourceRing() {
 	e.sm.packets.Set(float64(e.packets.Load()))
 }
 
-// noteRingPeak records the source ring's high-water mark (tracked
-// unconditionally; it is one comparison per producer batch).
+// noteRingPeak records the source ring's high-water mark as the pump
+// sees it (tracked unconditionally; it is one comparison per cycle).
 func (e *Engine) noteRingPeak() {
 	n := int64(e.ring.Len())
 	for {
@@ -126,6 +110,5 @@ func (e *Engine) noteRingPeak() {
 	}
 }
 
-// RingPeak returns the highest source-ring occupancy observed during Run
-// (RunParallel uses private per-node rings; see the per-node gauges).
+// RingPeak returns the highest source-ring occupancy the pump observed.
 func (e *Engine) RingPeak() int { return int(e.ringPeak.Load()) }

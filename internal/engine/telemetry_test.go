@@ -95,9 +95,12 @@ func TestEngineTelemetryRunParallel(t *testing.T) {
 	if got, ok := snap.Value("streamop_node_tuples_in", "sampler"); !ok || int64(got) != st.TuplesIn {
 		t.Errorf("tuples_in gauge = %v (ok=%v), stats %d", got, ok, st.TuplesIn)
 	}
-	// Unpaced runs apply backpressure: the per-node ring must not drop.
-	if got, ok := snap.Value("streamop_ring_drops", "sampler"); !ok || got != 0 {
+	// Unpaced runs apply backpressure: the source ring must not drop.
+	if got, ok := snap.Value("streamop_ring_drops", "source"); !ok || got != 0 {
 		t.Errorf("ring drops gauge = %v (ok=%v), want 0", got, ok)
+	}
+	if got, ok := snap.Value("streamop_engine_packets"); !ok || int64(got) != e.Packets() {
+		t.Errorf("packets gauge = %v (ok=%v), engine %d", got, ok, e.Packets())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"streamop/internal/tuple"
 )
 
-// Provenance tracing for the single-threaded Run path. The engine owns the
+// Provenance tracing for Run and sessions. The engine owns the
 // stages the operator cannot see: the source ring (enqueue, dequeue-wait,
 // drops), the handoff of emitted rows into high-level input queues, and
 // the application boundary where a trace terminates as "emitted".

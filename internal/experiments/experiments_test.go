@@ -322,32 +322,6 @@ func TestHHPushAblation(t *testing.T) {
 	}
 }
 
-func TestShardSweep(t *testing.T) {
-	res, err := Shard(19, 1, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Packets == 0 || res.Groups == 0 {
-		t.Fatalf("empty sweep: %+v", res)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		// Exactness is the experiment's core claim: every shard count
-		// must reproduce the sequential aggregates bit for bit.
-		if !p.Exact {
-			t.Errorf("shards=%d: parallel output diverged from Run", p.Shards)
-		}
-		if p.PktsPerSec <= 0 || p.WallMS <= 0 {
-			t.Errorf("shards=%d: degenerate timing %+v", p.Shards, p)
-		}
-	}
-	if res.Points[0].Speedup != 1.0 {
-		t.Errorf("first point speedup = %v, want 1.0 (self-relative)", res.Points[0].Speedup)
-	}
-}
-
 func TestCascadeTeaser(t *testing.T) {
 	// The conclusion's teaser quantified: a reservoir of 50 over a
 	// subset-sum sample of 1000 estimates the window totals, with

@@ -126,11 +126,6 @@ type Plan struct {
 	// order; each expands to five consecutive SelectExprs reading Ctx.Est.
 	Estimates []EstimateDef
 
-	// Shards carries the query's SHARDS clause (0 = unspecified): a hint
-	// for how many parallel workers a low-level partial-aggregation node
-	// should fan out into under RunParallel.
-	Shards int
-
 	// Overload carries the query's OVERLOAD clause ("" = unspecified): the
 	// admission policy the engine applies at this query's ring buffers,
 	// in canonical form ("drop-tail", "shed-sample" or "block").
@@ -194,7 +189,7 @@ func Analyze(q *Query, schema *tuple.Schema, reg *sfun.Registry) (*Plan, error) 
 		return nil, fmt.Errorf("gsql: query reads from %q but schema is %q", q.From, schema.Name())
 	}
 	b := &binder{
-		plan:     &Plan{Query: q, Schema: schema, Shards: q.Shards, Overload: q.Overload, reg: reg},
+		plan:     &Plan{Query: q, Schema: schema, Overload: q.Overload, reg: reg},
 		reg:      reg,
 		schema:   schema,
 		stateIdx: map[string]int{},

@@ -136,9 +136,6 @@ type Query struct {
 	Having       Expr     // nil if absent
 	CleaningWhen Expr     // nil if absent
 	CleaningBy   Expr     // nil if absent
-	// Shards is the SHARDS clause's worker-count hint for parallel
-	// low-level execution; 0 means unspecified (runtime default).
-	Shards int
 	// Overload is the OVERLOAD clause's admission-policy hint in canonical
 	// form ("drop-tail", "shed-sample" or "block"); "" means unspecified
 	// (runtime default).
@@ -211,9 +208,6 @@ func (q *Query) String() string {
 	if q.CleaningBy != nil {
 		b.WriteString("\nCLEANING BY ")
 		b.WriteString(q.CleaningBy.String())
-	}
-	if q.Shards > 0 {
-		fmt.Fprintf(&b, "\nSHARDS %d", q.Shards)
 	}
 	if q.Overload != "" {
 		fmt.Fprintf(&b, "\nOVERLOAD %s", q.Overload)

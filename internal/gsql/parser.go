@@ -22,10 +22,9 @@ import (
 //	[HAVING expr]
 //	[CLEANING WHEN expr]
 //	[CLEANING BY expr]
-//	[SHARDS number | OVERLOAD policy]...
+//	[OVERLOAD policy]
 //
-// The trailing execution hints (SHARDS, OVERLOAD) may appear in either
-// order, each at most once. OVERLOAD names an admission policy —
+// The trailing OVERLOAD execution hint names an admission policy —
 // drop-tail, shed-sample or block (underscored spellings accepted).
 func Parse(src string) (*Query, error) {
 	toks, err := lex(src)
@@ -242,37 +241,15 @@ func (p *parser) parseQuery() (*Query, error) {
 			return nil, p.errorf("expected WHEN or BY after CLEANING, found %q", p.peek().text)
 		}
 	}
-	// Execution hints, in either order, each at most once.
-	for {
-		switch {
-		case p.keywordIs("shards"):
-			p.advance()
-			if q.Shards > 0 {
-				return nil, p.errorf("duplicate SHARDS clause")
-			}
-			t := p.advance()
-			if t.kind != tokNumber {
-				return nil, p.errorf("expected shard count after SHARDS, found %q", t.text)
-			}
-			n, err := strconv.Atoi(t.text)
-			if err != nil || n < 1 {
-				return nil, p.errorf("SHARDS wants a positive integer, got %q", t.text)
-			}
-			q.Shards = n
-		case p.keywordIs("overload"):
-			p.advance()
-			if q.Overload != "" {
-				return nil, p.errorf("duplicate OVERLOAD clause")
-			}
-			name, err := p.parsePolicyName()
-			if err != nil {
-				return nil, err
-			}
-			q.Overload = name
-		default:
-			return q, nil
+	if p.keywordIs("overload") {
+		p.advance()
+		name, err := p.parsePolicyName()
+		if err != nil {
+			return nil, err
 		}
+		q.Overload = name
 	}
+	return q, nil
 }
 
 // overloadPolicies is the OVERLOAD clause vocabulary, mirroring

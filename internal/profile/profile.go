@@ -27,9 +27,9 @@
 // Concurrency: sampling-schedule state is plain fields owned by the node's
 // processing goroutine (mirroring the tracer's NextSeq design), while every
 // accumulator is atomic, so /debug/profile can render a Report from the
-// HTTP goroutine mid-run without races. Under RunParallel each shard
-// worker gets its own NodeProfile (Profiler.NodeShard), so shards never
-// share schedule state.
+// HTTP goroutine mid-run without races. A caller running replicas of one
+// node concurrently gives each its own NodeProfile (Profiler.NodeShard),
+// so replicas never share schedule state.
 package profile
 
 import (

@@ -23,8 +23,9 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 }
 
 // TestEventLogConcurrentSeqAndAtomicity hammers one collector from
-// parallel goroutines — the shape of RunParallel, where every node
-// flushes windows concurrently — and checks the event log's contract:
+// parallel goroutines — the shape of several engines (e.g. the
+// experiment harness's) sharing one collector — and checks the event
+// log's contract:
 // each event reaches the writer as exactly one complete line, and seq
 // values are gap-free and duplicate-free.
 func TestEventLogConcurrentSeqAndAtomicity(t *testing.T) {
