@@ -307,23 +307,18 @@ func run(cfg config) error {
 		return fmt.Errorf("-restore needs -checkpoint DIR")
 	}
 	if cfg.Restore {
-		info, err := e.RestoreLatest()
+		info, err := e.RestoreSession()
 		switch {
 		case errors.Is(err, checkpoint.ErrNoCheckpoint):
 			fmt.Fprintln(os.Stderr, "gsq: no valid snapshot found; starting fresh")
 		case err != nil:
 			return err
 		default:
-			var rows int64
-			for _, n := range info.Nodes {
-				if n.Name == "query" {
-					rows = n.TuplesOut
-				}
-			}
 			// The banner's rows count is what CI's kill-and-resume splice
 			// keys on: rows already emitted before the snapshot.
+			st := node.Stats()
 			fmt.Fprintf(os.Stderr, "gsq: restored seq=%d packets=%d windows=%d rows=%d from %s\n",
-				info.Seq, info.Packets, info.Windows, rows, info.Path)
+				info.Seq, info.Packets, st.Operator.Windows, st.TuplesOut, info.Path)
 		}
 	}
 

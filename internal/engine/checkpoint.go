@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 	"time"
 
@@ -15,13 +14,13 @@ import (
 // Crash-safe checkpoint/restore.
 //
 // A checkpoint is one framed file (see internal/checkpoint) holding the
-// engine's complete resumable state at a tuple boundary: the source
-// position (packets taken from the feed, timestamp bounds), every
-// low- and high-level node's operator snapshot (group tables, supergroup
-// tables old and new, SFUN state blobs, RNG state), and the source gate's
-// admission-controller state. The payload opens with a fingerprint of the
-// query topology so a snapshot is never restored into a different set of
-// queries.
+// engine's complete resumable state at a pump boundary. Run, RunParallel
+// and sessions all write the same payload (durable.go): the source
+// position (packets taken from the feed, timestamp bounds), the
+// hand-built nodes and the standing-query registry, each node with its
+// operator snapshot (group tables, supergroup tables old and new, SFUN
+// state blobs, RNG state), and the source gate's admission-controller
+// state. RestoreSession is the one way back in.
 //
 // Exactness. The pump snapshots only at a cycle boundary, where every
 // packet it popped has settled in every node and the high-level queues
@@ -37,7 +36,10 @@ import (
 //
 // Restrictions. Partial-aggregation nodes have no state codec and refuse
 // checkpointing; paced RunParallel refuses it too (its gate sheds packets
-// nondeterministically, so there is no exact resume to preserve).
+// nondeterministically, so there is no exact resume to preserve); and so
+// does a hand-built node reading a tap or an installed query, because
+// RestoreSession re-creates that parent, so the caller cannot rebuild
+// the child before the restore.
 
 // CheckpointConfig configures periodic snapshots for a run.
 type CheckpointConfig struct {
@@ -45,8 +47,9 @@ type CheckpointConfig struct {
 	Dir string
 	// EveryWindows triggers a snapshot whenever some node's operator has
 	// closed at least this many windows since the previous snapshot.
-	// <= 0 disables the periodic schedule; a cancelled run still writes
-	// its final snapshot.
+	// <= 0 disables the periodic schedule; a run still snapshots at its
+	// first boundary, after every install and uninstall, and before its
+	// final flush.
 	EveryWindows int64
 	// Keep is the number of snapshot files retained (older ones are
 	// pruned after each write). < 1 defaults to 2, so one corrupt newest
@@ -62,10 +65,8 @@ type ckptState struct {
 	resumeSkip  int64
 	pendingGate *overload.PersistentState
 
-	// Session durability (durable.go): session selects the session
-	// payload encoding; regDirty forces a snapshot at the next pump
-	// boundary after the standing-query registry changed.
-	session  bool
+	// regDirty forces a snapshot at the next pump boundary: set when a
+	// run starts and whenever the standing-query registry changes.
 	regDirty bool
 
 	// Atomic mirrors for /debug/state (written by the pump, read by the
@@ -81,8 +82,8 @@ type ckptMetrics struct {
 }
 
 // SetCheckpoint enables checkpointing for subsequent runs. Call before
-// Run/RunParallel (and before RestoreLatest when resuming); it errors
-// once a run or session is active.
+// Run/RunParallel/Start (and before RestoreSession when resuming); it
+// errors once a run or session is active.
 func (e *Engine) SetCheckpoint(cfg CheckpointConfig) error {
 	if err := e.setterGuard("SetCheckpoint"); err != nil {
 		return err
@@ -127,74 +128,14 @@ func (e *Engine) checkpointRunnable(lossy bool) error {
 	if lossy {
 		return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
 	}
-	return nil
+	_, err := e.handBuilt()
+	return err
 }
 
-// topologyFingerprint hashes the query topology — each node's name,
-// compiled plan description, and output schema, level by level — so a
-// snapshot can refuse restoration into different queries.
-func (e *Engine) topologyFingerprint() uint64 {
-	h := fnv.New64a()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	for _, n := range e.low {
-		w("low", n.name, n.plan.Describe(), n.schema.Name())
-	}
-	for _, pn := range e.lowPartial {
-		w("low_partial", pn.name, pn.plan.Describe(), pn.schema.Name())
-	}
-	for _, n := range e.high {
-		w("high", n.name, n.plan.Describe(), n.schema.Name())
-	}
-	return h.Sum64()
-}
-
-// ckptNodes returns the nodes a snapshot covers, in the fixed payload
-// order (low first, then high; partial nodes are excluded by
-// checkpointRunnable).
+// ckptNodes returns the nodes a snapshot covers, low first, then high
+// (partial nodes are excluded by checkpointRunnable).
 func (e *Engine) ckptNodes() []*Node {
 	return append(append(make([]*Node, 0, len(e.low)+len(e.high)), e.low...), e.high...)
-}
-
-// encodeCheckpoint serializes the engine's resumable state.
-func (e *Engine) encodeCheckpoint() ([]byte, error) {
-	enc := checkpoint.NewEncoder()
-	enc.U64(e.topologyFingerprint())
-	enc.U64(e.firstTS.Load())
-	enc.U64(e.lastTS.Load())
-	enc.I64(e.packets.Load())
-	enc.Bool(e.sawPacket.Load())
-	nodes := e.ckptNodes()
-	enc.Len(len(nodes))
-	for _, n := range nodes {
-		enc.String(n.name)
-		enc.I64(n.tuplesIn)
-		enc.I64(n.out)
-		enc.Bool(n.failed)
-		if n.failed {
-			// A panicked operator's state is untrusted; persist the failure
-			// instead (the previous snapshot holds the last-good state).
-			enc.String(n.failMsg)
-			enc.String(n.failStack)
-			continue
-		}
-		sub := checkpoint.NewEncoder()
-		if err := n.op.Snapshot(sub); err != nil {
-			return nil, fmt.Errorf("engine: node %q: %w", n.name, err)
-		}
-		enc.Blob(sub.Bytes())
-	}
-	if g := e.srcGate; g != nil {
-		enc.Bool(true)
-		encodeGateState(enc, g.ctrl.ExportState())
-	} else {
-		enc.Bool(false)
-	}
-	return enc.Bytes(), nil
 }
 
 // maxWindows returns the most windows any healthy node's operator has
@@ -230,13 +171,7 @@ func (e *Engine) maybeCheckpoint() error {
 func (e *Engine) writeCheckpoint() error {
 	ck := e.ckpt
 	start := time.Now()
-	var payload []byte
-	var err error
-	if ck.session {
-		payload, err = e.encodeSessionCheckpoint()
-	} else {
-		payload, err = e.encodeCheckpoint()
-	}
+	payload, err := e.encodeSnapshot()
 	if err != nil {
 		ck.noteFailure(e.tel)
 		return err
@@ -274,121 +209,6 @@ func (ck *ckptState) noteFailure(tel *telemetry.Collector) {
 	if m := ck.metrics(tel); m != nil {
 		m.failures.Add(1)
 	}
-}
-
-// RestoredNode reports one node's state after RestoreLatest.
-type RestoredNode struct {
-	Name string
-	// TuplesOut is the number of rows the node had already delivered to
-	// its subscribers and applications when the snapshot was taken —
-	// callers re-emitting output (e.g. a CSV writer) splice at this count.
-	TuplesOut int64
-	Failed    bool
-	FailMsg   string
-}
-
-// RestoreInfo reports what RestoreLatest loaded.
-type RestoreInfo struct {
-	Path    string
-	Seq     uint64
-	Packets int64
-	Windows int64
-	Nodes   []RestoredNode
-}
-
-// RestoreLatest loads the newest valid snapshot from the configured
-// checkpoint directory into this engine's freshly built (and identical)
-// topology. Call after SetCheckpoint and after all nodes are added,
-// before Run/RunParallel; the subsequent run fast-forwards the feed past
-// the snapshot's packets and resumes exactly. Returns
-// checkpoint.ErrNoCheckpoint (possibly wrapped) when no valid snapshot
-// exists — callers treat that as a fresh start.
-func (e *Engine) RestoreLatest() (*RestoreInfo, error) {
-	ck := e.ckpt
-	if ck == nil {
-		return nil, fmt.Errorf("engine: call SetCheckpoint before RestoreLatest")
-	}
-	snap, err := checkpoint.Latest(ck.cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(snap.Payload)
-	if fp := d.U64(); d.Err() == nil && fp != e.topologyFingerprint() {
-		return nil, fmt.Errorf("engine: snapshot %s was taken from a different query topology", snap.Path)
-	}
-	e.firstTS.Store(d.U64())
-	e.lastTS.Store(d.U64())
-	e.packets.Store(d.I64())
-	e.sawPacket.Store(d.Bool())
-	nodes := e.ckptNodes()
-	if n := d.Len(); d.Err() == nil && n != len(nodes) {
-		return nil, fmt.Errorf("engine: snapshot has %d nodes, topology has %d", n, len(nodes))
-	}
-	info := &RestoreInfo{Path: snap.Path, Seq: snap.Seq, Packets: e.packets.Load()}
-	for _, n := range nodes {
-		name := d.String()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if name != n.name {
-			return nil, fmt.Errorf("engine: snapshot node %q does not match topology node %q", name, n.name)
-		}
-		n.tuplesIn = d.I64()
-		n.out = d.I64()
-		failed := d.Bool()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if failed {
-			n.failed = true
-			n.failMsg = d.String()
-			n.failStack = d.String()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
-			info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out, Failed: true, FailMsg: n.failMsg})
-			continue
-		}
-		blob := d.Blob()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if err := n.op.Restore(checkpoint.NewDecoder(blob)); err != nil {
-			return nil, fmt.Errorf("engine: node %q: %w", n.name, err)
-		}
-		if w := n.op.Stats().Windows; w > info.Windows {
-			info.Windows = w
-		}
-		info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out})
-	}
-	if hasGate := d.Bool(); hasGate {
-		gs := decodeGateState(d)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		ck.pendingGate = &gs
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("engine: snapshot %s has %d bytes of trailing garbage", snap.Path, d.Remaining())
-	}
-	ck.seq = snap.Seq
-	ck.aSeq.Store(snap.Seq)
-	ck.lastWindows = info.Windows
-	ck.resumeSkip = e.packets.Load()
-	if m := ck.metrics(e.tel); m != nil {
-		m.restores.Add(1)
-		m.lastSeq.Set(float64(snap.Seq))
-	}
-	if e.tel.EventsEnabled() {
-		e.tel.Emit("restore", map[string]any{
-			"seq": snap.Seq, "packets": e.packets.Load(), "windows": info.Windows, "path": snap.Path,
-		})
-	}
-	return info, nil
 }
 
 // applyRestoredGate moves a restored admission-controller state into the

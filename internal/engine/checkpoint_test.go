@@ -157,14 +157,16 @@ func spliceCompare(t *testing.T, name string, ref, partA, partB []string, tuples
 	}
 }
 
-func tuplesOutOf(t *testing.T, info *engine.RestoreInfo, name string) int64 {
+// tuplesOut returns the rows the named node had delivered when its state
+// was taken: read right after RestoreSession, it is the splice point.
+func tuplesOut(t *testing.T, e *engine.Engine, name string) int64 {
 	t.Helper()
-	for _, n := range info.Nodes {
-		if n.Name == name {
-			return n.TuplesOut
+	for _, n := range e.Nodes() {
+		if st := n.Stats(); st.Name == name {
+			return st.TuplesOut
 		}
 	}
-	t.Fatalf("node %q missing from RestoreInfo", name)
+	t.Fatalf("node %q missing from the restored engine", name)
 	return 0
 }
 
@@ -245,9 +247,13 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreLatest()
+	info, err := eB.RestoreSession()
 	if err != nil {
-		t.Fatalf("RestoreLatest: %v", err)
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	cut := make(map[string]int64)
+	for _, qd := range samplingQueries {
+		cut[qd.name] = tuplesOut(t, eB, qd.name)
 	}
 	if corruptNewest {
 		wantSeq, _ := checkpoint.SeqFromName(names[len(names)-2])
@@ -260,8 +266,7 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 	}
 
 	for _, qd := range samplingQueries {
-		spliceCompare(t, qd.name, *refRows[qd.name], *rowsA[qd.name], *rowsB[qd.name],
-			tuplesOutOf(t, info, qd.name))
+		spliceCompare(t, qd.name, *refRows[qd.name], *rowsA[qd.name], *rowsB[qd.name], cut[qd.name])
 	}
 }
 
@@ -287,7 +292,7 @@ func TestKillAndResumeParallel(t *testing.T) {
 }
 
 // TestRestoreFallsBackPastCorruptSnapshot corrupts the newest snapshot
-// after the interrupted run: RestoreLatest must fall back to the previous
+// after the interrupted run: RestoreSession must fall back to the previous
 // valid file and the resume must still splice byte-identically (just from
 // an earlier point).
 func TestRestoreFallsBackPastCorruptSnapshot(t *testing.T) {
@@ -317,17 +322,19 @@ func TestRestoreRejectsForeignTopology(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eB.RestoreLatest(); err == nil || !strings.Contains(err.Error(), "topology") {
+	if _, err := eB.RestoreSession(); err == nil || !strings.Contains(err.Error(), "topology") {
 		t.Fatalf("foreign topology accepted: %v", err)
 	}
 }
 
-func TestRestoreLatestNoSnapshot(t *testing.T) {
+// TestRestoreSessionNoSnapshot: a rebuilt engine over an empty snapshot
+// directory gets ErrNoCheckpoint, the caller's cue for a fresh start.
+func TestRestoreSessionNoSnapshot(t *testing.T) {
 	e, _ := buildSamplingEngine(t)
 	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RestoreLatest(); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
+	if _, err := e.RestoreSession(); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		t.Fatalf("want ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -389,15 +396,18 @@ func TestCheckpointModeRestrictions(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreLatest()
-	if err != nil {
-		t.Fatalf("RestoreLatest: %v", err)
+	if _, err := eB.RestoreSession(); err != nil {
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	cut := make(map[string]int64)
+	for name := range refRows {
+		cut[name] = tuplesOut(t, eB, name)
 	}
 	if err := eB.RunParallel(steadyFeed(t), 0); err != nil {
 		t.Fatal(err)
 	}
 	for name, ref := range refRows {
-		spliceCompare(t, name, *ref, *rowsA[name], *rowsB[name], tuplesOutOf(t, info, name))
+		spliceCompare(t, name, *ref, *rowsA[name], *rowsB[name], cut[name])
 	}
 
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
@@ -620,27 +630,22 @@ func TestFailedNodeSurvivesCheckpointRestore(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreLatest()
+	info, err := eB.RestoreSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doomed *engine.RestoredNode
-	for i := range info.Nodes {
-		if info.Nodes[i].Name == "doomed" {
-			doomed = &info.Nodes[i]
-		}
+	if len(info.Failed) != 1 || info.Failed[0] != "doomed" {
+		t.Fatalf("restored failed nodes = %v, want [doomed]", info.Failed)
 	}
-	if doomed == nil || !doomed.Failed || !strings.Contains(doomed.FailMsg, "injected operator panic") {
-		t.Fatalf("restored doomed node = %+v", doomed)
+	if f := eB.Failures(); len(f) != 1 || f[0].Node != "doomed" || !strings.Contains(f[0].Msg, "injected operator panic") {
+		t.Fatalf("restore did not re-record the failure: %+v", f)
 	}
-	if len(eB.Failures()) != 1 {
-		t.Fatalf("restore did not re-record the failure: %+v", eB.Failures())
-	}
+	cut := tuplesOut(t, eB, "healthy")
 	if err := eB.Run(steadyFeed(t)); err != nil {
 		t.Fatal(err)
 	}
 	if len(*rowsBoomB) != 0 {
 		t.Fatalf("failed node emitted %d rows after restore", len(*rowsBoomB))
 	}
-	spliceCompare(t, "healthy", want, *rowsA, *rowsB, tuplesOutOf(t, info, "healthy"))
+	spliceCompare(t, "healthy", want, *rowsA, *rowsB, cut)
 }

@@ -12,41 +12,39 @@ import (
 	"streamop/internal/trace"
 )
 
-// Durable sessions: the session-mode checkpoint payload and its restore.
+// The engine's one snapshot payload and its one restore.
 //
-// The one-shot payload (checkpoint.go) assumes a fixed topology: it opens
-// with a fingerprint and requires the restoring engine to have rebuilt
-// the identical node tree by hand. A session's topology is the thing that
-// must survive the crash — nobody is around to re-Install the standing
-// queries — so the session payload carries the registry itself: every
+// Every run mode writes the same payload. A session's topology is the
+// thing that must survive the crash — nobody is around to re-Install the
+// standing queries — so the payload carries the registry itself: every
 // shared tap's Via text and seed, every query's GSQL text and
 // InstallOptions (minus OnRow, which is code, not state), in install
-// order, each followed by its node's operator snapshot from the PR 5
-// codec stack, plus the per-query tenant-gate state and the source
-// gate's admission state. RestoreSession replays that registry through
-// the normal install path into an empty engine, restores each node's
-// state, and primes the same fast-forward resume the one-shot path uses:
-// the next StartWith skips the snapshot's packets on the (fault-wrapped,
-// deterministic) feed and continues bit-identically.
-//
-// The two payload kinds cannot cross-restore: the session payload opens
-// with sessionMagic, which a one-shot RestoreLatest reads as a topology
-// fingerprint and rejects, and RestoreSession rejects anything not
-// opening with the magic.
+// order, each followed by its node's operator snapshot, plus the
+// per-query tenant-gate state and the source gate's admission state.
+// Ahead of the registry sits one section for the hand-built nodes
+// (AddLowLevel/AddHighLevel): each entry pins the node's level, name,
+// parent, compiled plan and output schema, then its state. Code cannot
+// be persisted, so the caller rebuilds those nodes before
+// RestoreSession, which checks them against the section, restores their
+// state, replays the registry through the normal install path, and
+// primes the fast-forward resume: the next run skips the snapshot's
+// packets on the (fault-wrapped, deterministic) feed and continues
+// bit-identically.
 
-// sessionMagic opens every session-mode payload ("SESSOP01" as ASCII).
-const sessionMagic uint64 = 0x53455353_4F503031
+// snapshotMagic opens every payload ("SESSOP01" as ASCII).
+const snapshotMagic uint64 = 0x53455353_4F503031
 
-// sessionVersion is the session payload format version; bump on any
-// layout change so an old daemon never misreads a new snapshot.
-const sessionVersion uint32 = 1
+// snapshotVersion is the payload format version; bump on any layout
+// change so an old daemon never misreads a new snapshot.
+const snapshotVersion uint32 = 2
 
-// encodeSessionCheckpoint serializes the standing-query registry and all
-// resumable state. Pump goroutine, at a drained-ring boundary.
-func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
+// encodeSnapshot serializes the hand-built nodes, the standing-query
+// registry and all resumable state. Pump goroutine, at a drained-ring
+// boundary.
+func (e *Engine) encodeSnapshot() ([]byte, error) {
 	enc := checkpoint.NewEncoder()
-	enc.U64(sessionMagic)
-	enc.U32(sessionVersion)
+	enc.U64(snapshotMagic)
+	enc.U32(snapshotVersion)
 	enc.U64(e.firstTS.Load())
 	enc.U64(e.lastTS.Load())
 	enc.I64(e.packets.Load())
@@ -54,6 +52,21 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	enc.I64(e.installs.Load())
 	enc.I64(e.uninstalls.Load())
 	enc.U64(e.nextSeq)
+
+	hand, err := e.handBuilt()
+	if err != nil {
+		return nil, err
+	}
+	enc.Len(len(hand))
+	for _, n := range hand {
+		enc.String(n.name)
+		for _, f := range n.topology() {
+			enc.String(f)
+		}
+		if err := encodeNodeState(enc, n); err != nil {
+			return nil, err
+		}
+	}
 
 	taps := make([]*tap, 0, len(e.taps))
 	for _, t := range e.taps {
@@ -123,17 +136,13 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-// unpersistedNode names the first node the session payload would not
-// carry, "" when there is none. The payload holds the standing-query
-// registry — installed queries and their taps — so a node added by hand
-// (AddLowLevel, AddHighLevel, AddLowLevelPartialAgg) would run over every
-// packet and then vanish from the restored session.
-func (e *Engine) unpersistedNode() string {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
-	if len(e.lowPartial) > 0 {
-		return e.lowPartial[0].name
-	}
+// handBuilt returns the nodes the standing-query registry does not own —
+// added with AddLowLevel/AddHighLevel rather than Install — in pump
+// order. It refuses a hand-built node reading a tap or an installed
+// query: RestoreSession re-creates that parent, so the caller could not
+// rebuild the child before the restore. Partial-aggregation nodes are
+// left to checkpointRunnable. Pump goroutine, or topoMu held.
+func (e *Engine) handBuilt() ([]*Node, error) {
 	owned := make(map[*Node]bool, len(e.handles)+len(e.taps))
 	for _, h := range e.handles {
 		owned[h.node] = true
@@ -141,14 +150,26 @@ func (e *Engine) unpersistedNode() string {
 	for _, t := range e.taps {
 		owned[t.node] = true
 	}
-	for _, nodes := range [][]*Node{e.low, e.high} {
-		for _, n := range nodes {
-			if !owned[n] {
-				return n.name
-			}
+	var hand []*Node
+	for _, n := range e.ckptNodes() {
+		if owned[n] {
+			continue
 		}
+		if owned[n.parent] {
+			return nil, fmt.Errorf("engine: node %q reads %q, which RestoreSession re-creates, so checkpointing cannot restore it; install it instead", n.name, n.parent.name)
+		}
+		hand = append(hand, n)
 	}
-	return ""
+	return hand, nil
+}
+
+// topology renders what a snapshot pins about a hand-built node besides
+// its name: level, parent, compiled plan and output schema.
+func (n *Node) topology() [4]string {
+	if n.low {
+		return [4]string{"low", "", n.plan.Describe(), n.schema.String()}
+	}
+	return [4]string{"high", n.parent.name, n.plan.Describe(), n.schema.String()}
 }
 
 // encodeNodeState appends one node's counters and operator snapshot (or
@@ -171,8 +192,9 @@ func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 }
 
 // decodeNodeState restores what encodeNodeState wrote into a freshly
-// built node; a persisted failure is re-recorded like RestoreLatest does.
-func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node) error {
+// built node; a persisted failure is re-recorded as a contained failure
+// and listed in info.
+func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node, info *SessionRestoreInfo) error {
 	n.tuplesIn = d.I64()
 	n.out = d.I64()
 	failed := d.Bool()
@@ -187,6 +209,7 @@ func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node) error {
 			return d.Err()
 		}
 		e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
+		info.Failed = append(info.Failed, n.name)
 		return nil
 	}
 	blob := d.Blob()
@@ -230,16 +253,20 @@ type SessionRestoreInfo struct {
 	Failed  []string // nodes carried forward in the contained-failure state
 }
 
-// RestoreSession loads the newest valid session snapshot from the
-// configured checkpoint directory into this (empty, idle) engine: it
-// recreates every shared tap and re-installs every standing query from
-// the persisted registry, restores all operator, tenant-gate and
-// admission state, and primes the next StartWith to fast-forward the feed
-// past the snapshot's packets and resume bit-identically. OnRow callbacks
-// are code, not state — reattach behavior by installing fresh queries or
-// subscribing to the restored handles. Returns checkpoint.ErrNoCheckpoint
-// (possibly wrapped) when no valid snapshot exists — callers treat that
-// as a fresh start.
+// RestoreSession loads the newest valid snapshot from the configured
+// checkpoint directory into this idle engine, which must hold no
+// installed queries or taps. Hand-built nodes (AddLowLevel/AddHighLevel)
+// must already be rebuilt, matching the snapshot's by name, level,
+// parent, plan and output schema; a missing, extra or different node is
+// a topology error. RestoreSession restores their state, recreates every
+// shared tap and re-installs every standing query from the persisted
+// registry, restores all operator, tenant-gate and admission state, and
+// primes the next run to fast-forward the feed past the snapshot's
+// packets and resume bit-identically. OnRow callbacks are code, not
+// state — reattach behavior by installing fresh queries or subscribing
+// to the restored handles. Returns checkpoint.ErrNoCheckpoint (possibly
+// wrapped) when no valid snapshot exists — callers treat that as a fresh
+// start.
 func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 	ck := e.ckpt
 	if ck == nil {
@@ -250,19 +277,17 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 	}
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
-	if len(e.handles) != 0 || len(e.taps) != 0 || len(e.low)+len(e.lowPartial)+len(e.high) != 0 {
-		return nil, fmt.Errorf("engine: RestoreSession requires an empty engine (found installed queries or nodes)")
+	if len(e.handles) != 0 || len(e.taps) != 0 {
+		return nil, fmt.Errorf("engine: RestoreSession requires an engine with no installed queries or taps")
 	}
 	snap, err := checkpoint.Latest(ck.cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	d := checkpoint.NewDecoder(snap.Payload)
-	if magic := d.U64(); d.Err() == nil && magic != sessionMagic {
-		return nil, fmt.Errorf("engine: snapshot %s is not a session snapshot (one-shot run state restores via RestoreLatest)", snap.Path)
-	}
-	if v := d.U32(); d.Err() == nil && v != sessionVersion {
-		return nil, fmt.Errorf("engine: snapshot %s has session format v%d, this build reads v%d", snap.Path, v, sessionVersion)
+	magic, v := d.U64(), d.U32()
+	if d.Err() == nil && (magic != snapshotMagic || v != snapshotVersion) {
+		return nil, fmt.Errorf("engine: snapshot %s has format %#x v%d, this build reads %#x v%d", snap.Path, magic, v, snapshotMagic, snapshotVersion)
 	}
 	firstTS, lastTS := d.U64(), d.U64()
 	packets := d.I64()
@@ -274,6 +299,38 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 	}
 
 	info := &SessionRestoreInfo{Path: snap.Path, Seq: snap.Seq, Packets: packets}
+	rebuilt := make(map[string]*Node, len(e.low)+len(e.high))
+	for _, n := range e.ckptNodes() {
+		rebuilt[n.name] = n
+	}
+	nHand := d.Len()
+	for i := 0; i < nHand; i++ {
+		name := d.String()
+		var topo [4]string
+		for j := range topo {
+			topo[j] = d.String()
+		}
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		n := rebuilt[name]
+		if n == nil {
+			return nil, fmt.Errorf("engine: snapshot %s: node %q is missing from the rebuilt topology", snap.Path, name)
+		}
+		if n.topology() != topo {
+			return nil, fmt.Errorf("engine: snapshot %s: rebuilt node %q differs from the snapshot's topology", snap.Path, name)
+		}
+		delete(rebuilt, name)
+		if err := e.decodeNodeState(d, n, info); err != nil {
+			return nil, err
+		}
+	}
+	for _, n := range e.ckptNodes() {
+		if rebuilt[n.name] != nil {
+			return nil, fmt.Errorf("engine: snapshot %s: rebuilt node %q is not in the snapshot's topology", snap.Path, n.name)
+		}
+	}
+
 	nTaps := d.Len()
 	for i := 0; i < nTaps; i++ {
 		name := d.String()
@@ -286,11 +343,8 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := e.decodeNodeState(d, t.node); err != nil {
+		if err := e.decodeNodeState(d, t.node, info); err != nil {
 			return nil, err
-		}
-		if t.node.failed {
-			info.Failed = append(info.Failed, name)
 		}
 		info.Taps = append(info.Taps, name)
 	}
@@ -347,11 +401,8 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 			}
 			h.gate.ImportState(gateState)
 		}
-		if err := e.decodeNodeState(d, h.node); err != nil {
+		if err := e.decodeNodeState(d, h.node, info); err != nil {
 			return nil, err
-		}
-		if h.node.failed {
-			info.Failed = append(info.Failed, name)
 		}
 		info.Queries = append(info.Queries, name)
 	}
@@ -381,7 +432,6 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 	ck.aSeq.Store(snap.Seq)
 	ck.lastWindows = e.maxWindows()
 	ck.resumeSkip = packets
-	ck.session = true
 	// The registry now matches the snapshot on disk; the next write comes
 	// from the periodic schedule or the next install/uninstall.
 	ck.regDirty = false

@@ -3,9 +3,12 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"streamop/internal/engine"
 	"streamop/internal/overload"
 	"streamop/internal/trace"
+	"streamop/internal/tuple"
 )
 
 // Durable-session property tests: a standing-query session snapshotted at
@@ -437,12 +441,108 @@ func TestRestoreSessionGuards(t *testing.T) {
 	})
 }
 
-// TestDurableSessionRefusesHandBuiltNodes: a durable session snapshot
-// carries only the standing-query registry, so a node added by hand
-// would run over every packet and then vanish on restore. StartWith must
-// refuse it up front, naming the node; without checkpointing the same
-// topology still starts.
-func TestDurableSessionRefusesHandBuiltNodes(t *testing.T) {
+// buildHandBuilt adds the hand-built pair the durable kill-and-resume
+// test carries — a low-level selection and a sampling high-level child
+// of it — and subscribes a sink to each.
+func buildHandBuilt(t *testing.T, e *engine.Engine) map[string]*[]string {
+	t.Helper()
+	sel, err := e.AddLowLevel("sel", mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := e.AddHighLevel("est", sel, mustPlan(t, estEngQuery, sel.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]*[]string{}
+	for _, n := range []*engine.Node{sel, est} {
+		sink := &[]string{}
+		rows[n.Stats().Name] = sink
+		n.Subscribe(func(row tuple.Tuple) error {
+			*sink = append(*sink, fmtRow(row))
+			return nil
+		})
+	}
+	return rows
+}
+
+// TestDurableSessionHandBuiltKillAndResume: hand-built nodes ride in the
+// session snapshot. A session carrying a hand-built low node, its
+// hand-built high child and an installed tap-backed query is cancelled
+// mid-stream; the restarted engine rebuilds the two hand-built nodes,
+// RestoreSession re-installs the query, and all three splice
+// byte-identically against an uninterrupted session.
+func TestDurableSessionHandBuiltKillAndResume(t *testing.T) {
+	dir := t.TempDir()
+	const flowsum = "SELECT tb, srcIP, sum(len), count(*) FROM flows GROUP BY time/1 as tb, srcIP"
+	opts := engine.InstallOptions{Via: testVia, Seed: 103, Buffer: 1 << 16}
+	session := func(e *engine.Engine, ctx context.Context, feed trace.Feed) map[string]*[]string {
+		rows := buildHandBuilt(t, e)
+		h, err := e.Install("flowsum", flowsum, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := h.Subscribe()
+		runSessionToEnd(t, e, ctx, feed, "")
+		got := drainSub(t, "flowsum", sub)
+		rows["flowsum"] = &got
+		return rows
+	}
+
+	eRef, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRows := session(eRef, context.Background(), steadyFeed(t))
+
+	eA, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eA.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rowsA := session(eA, ctx, &cancelAt{inner: steadyFeed(t), at: 23000, cancel: cancel})
+
+	// Restart: rebuild the hand-built nodes, then restore; the registry
+	// brings the query back.
+	eB, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
+		t.Fatal(err)
+	}
+	rowsB := buildHandBuilt(t, eB)
+	info, err := eB.RestoreSession()
+	if err != nil {
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	if len(info.Queries) != 1 || info.Queries[0] != "flowsum" || len(info.Taps) != 1 {
+		t.Fatalf("restored queries %v taps %v, want [flowsum] over one tap", info.Queries, info.Taps)
+	}
+	cut := make(map[string]int64)
+	for name := range refRows {
+		cut[name] = tuplesOut(t, eB, name)
+	}
+	sub := eB.Lookup("flowsum").Subscribe()
+	runSessionToEnd(t, eB, context.Background(), steadyFeed(t), "")
+	got := drainSub(t, "flowsum", sub)
+	rowsB["flowsum"] = &got
+
+	for name, ref := range refRows {
+		spliceCompare(t, name, *ref, *rowsA[name], *rowsB[name], cut[name])
+	}
+}
+
+// TestDurableSessionRefusesHandBuiltChildOfTap: the one hand-built node
+// a snapshot cannot carry reads a tap, which RestoreSession re-creates —
+// the caller could not rebuild the child before the restore. A durable
+// Start refuses it up front, naming the node; without checkpointing the
+// same topology starts.
+func TestDurableSessionRefusesHandBuiltChildOfTap(t *testing.T) {
 	for _, durable := range []bool{true, false} {
 		e, _ := engine.New(1024)
 		if durable {
@@ -450,10 +550,16 @@ func TestDurableSessionRefusesHandBuiltNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.AddLowLevel("handmade", mustPlan(t, "SELECT time, len FROM PKT", trace.Schema())); err != nil {
+		if _, err := e.Install("q", "SELECT len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Install("q", "SELECT len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
+		var tap *engine.Node
+		for _, n := range e.Nodes() {
+			if n.Stats().Name == "flows" {
+				tap = n
+			}
+		}
+		if _, err := e.AddHighLevel("child", tap, mustPlan(t, "SELECT srcIP, len FROM flows", tap.Schema())); err != nil {
 			t.Fatal(err)
 		}
 		feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 3, Duration: 0.2, Rate: 10000})
@@ -469,14 +575,90 @@ func TestDurableSessionRefusesHandBuiltNodes(t *testing.T) {
 		}
 		if err == nil {
 			e.Drain()
-			t.Fatal("durable session started with a hand-built node it cannot snapshot")
+			t.Fatal("durable session started with a hand-built child of a tap")
 		}
-		if !strings.Contains(err.Error(), `"handmade"`) {
+		if !strings.Contains(err.Error(), `"child"`) {
 			t.Fatalf("refusal does not name the node: %v", err)
 		}
 		if e.SessionActive() {
 			t.Fatal("refused Start left a session active")
 		}
+	}
+}
+
+// TestDurableSessionChurnDoesNotStarveFeed: install/uninstall commands
+// arriving with no gap must not starve a durable session's feed, even
+// when every boundary's registry snapshot outlasts the gap. The session
+// first builds a large group table, so each snapshot is slow; then
+// zero-gap churners keep a command queued at every boundary for the
+// last packets. Every cycle must still take a packet, so the session
+// reaches end-of-feed.
+func TestDurableSessionChurnDoesNotStarveFeed(t *testing.T) {
+	e, err := engine.New(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	// One group per packet in a single open window: the snapshot grows
+	// with every packet taken.
+	if _, err := e.Install("big", "SELECT tb, uts, count(*) FROM PKT GROUP BY time/60 as tb, uts", engine.InstallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.SteadyConfig{Seed: 3, Duration: 2, Rate: 10000}
+	var want int64
+	for twin, _ := trace.NewSteady(cfg); ; want++ {
+		if _, ok := twin.Next(); !ok {
+			break
+		}
+	}
+	inner, err := trace.NewSteady(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := &gatedFeed{inner: inner, pauseAt: int(want) - 200, paused: make(chan struct{}), release: make(chan struct{})}
+	if err := e.Start(context.Background(), feed); err != nil {
+		t.Fatal(err)
+	}
+	<-feed.paused
+	// Four churners keep a command queued at every boundary; the gate
+	// opens once each has posted its first install.
+	var posted atomic.Int32
+	var churn sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		churn.Add(1)
+		go func(name string) {
+			defer churn.Done()
+			for e.SessionActive() {
+				posted.Add(1)
+				if _, err := e.Install(name, "SELECT len FROM PKT", engine.InstallOptions{}); err == nil {
+					_ = e.Uninstall(name)
+				}
+			}
+		}(fmt.Sprintf("churn%d", i))
+	}
+	for posted.Load() < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(feed.release)
+
+	done := make(chan error, 1)
+	go func() { done <- e.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		e.Drain()
+		churn.Wait()
+		t.Fatalf("session starved: %d of %d packets taken in 60s of churn", e.Packets(), want)
+	}
+	churn.Wait()
+	if got := e.Packets(); got != want {
+		t.Fatalf("session took %d packets, feed has %d", got, want)
 	}
 }
 
@@ -502,40 +684,6 @@ func writeSessionSnapshot(t *testing.T, dir string) {
 	feed.stop.Store(true)
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSnapshotKindsDoNotCrossRestore: a one-shot run snapshot is not a
-// session snapshot and vice versa; each restore path rejects the other's
-// payload instead of misreading it.
-func TestSnapshotKindsDoNotCrossRestore(t *testing.T) {
-	// One-shot snapshot dir.
-	oneShot := t.TempDir()
-	eo, _ := buildSamplingEngine(t)
-	if err := eo.SetCheckpoint(engine.CheckpointConfig{Dir: oneShot, EveryWindows: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eo.RunContext(context.Background(), steadyFeed(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Session snapshot dir.
-	sess := t.TempDir()
-	writeSessionSnapshot(t, sess)
-
-	e1, _ := engine.New(1024)
-	if err := e1.SetCheckpoint(engine.CheckpointConfig{Dir: oneShot}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.RestoreSession(); err == nil {
-		t.Fatal("RestoreSession accepted a one-shot snapshot")
-	}
-
-	e2, _ := buildSamplingEngine(t)
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: sess}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.RestoreLatest(); err == nil {
-		t.Fatal("RestoreLatest accepted a session snapshot")
 	}
 }
 

@@ -49,6 +49,7 @@ type Node struct {
 	plan     *gsql.Plan
 	op       *operator.Operator
 	schema   *tuple.Schema // output schema
+	parent   *Node         // high-level nodes: the node whose output this one reads
 	subs     []*Node
 	apps     []func(tuple.Tuple) error
 	queue    []tuple.Tuple // pending input for high-level nodes
@@ -259,7 +260,7 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 	if err := e.checkName(name); err != nil {
 		return nil, err
 	}
-	n := &Node{name: name, plan: plan, schema: schema}
+	n := &Node{name: name, plan: plan, schema: schema, parent: parent}
 	n.op, err = operator.New(plan, n.emit)
 	if err != nil {
 		return nil, err
@@ -310,14 +311,9 @@ func (e *Engine) pump(ctx context.Context, feed trace.Feed, s *session, p *produ
 		return err
 	}
 	if ck := e.ckpt; ck != nil {
-		// Sessions snapshot the standing-query registry alongside node
-		// state (see durable.go); regDirty forces a base snapshot at the
-		// first boundary so even a kill right after Start recovers the
-		// pre-Start installs.
-		ck.session = s != nil
-		if s != nil {
-			ck.regDirty = true
-		}
+		// A base snapshot at the first boundary: even a kill right after
+		// the start recovers the pre-start topology.
+		ck.regDirty = true
 	}
 	feed = e.faults.Wrap(feed)
 	// The source ring has one admission gate, owned by whichever goroutine
@@ -347,13 +343,13 @@ func (e *Engine) pump(ctx context.Context, feed trace.Feed, s *session, p *produ
 			// Ring drained, every node settled: the safe boundary for
 			// topology changes, exactly like the checkpoint boundary below.
 			s.applyCommands()
-			// A registry change (install/uninstall, or session start)
-			// snapshots immediately: the durable registry must never
-			// trail the live topology by more than one boundary.
-			if ck := e.ckpt; ck != nil && ck.regDirty {
-				if err := e.writeCheckpoint(); err != nil {
-					return err
-				}
+		}
+		// A registry change (install/uninstall, or the run's start)
+		// snapshots immediately: the durable registry must never trail
+		// the live topology by more than one boundary.
+		if ck := e.ckpt; ck != nil && ck.regDirty {
+			if err := e.writeCheckpoint(); err != nil {
+				return err
 			}
 		}
 		if p != nil {
@@ -382,11 +378,10 @@ func (e *Engine) pump(ctx context.Context, feed trace.Feed, s *session, p *produ
 	if p != nil {
 		cancelled = p.finish()
 	}
-	// A cancelled run — and any ending session — writes its final
-	// snapshot before the bottom-up flush mutates every open window: the
-	// snapshot must describe the state a restored run resumes from, not
-	// the flushed aftermath.
-	if (cancelled || s != nil) && e.ckpt != nil {
+	// The final snapshot precedes the bottom-up flush that mutates every
+	// open window: it must describe the state a restored run resumes
+	// from, not the flushed aftermath.
+	if e.ckpt != nil {
 		if err := e.writeCheckpoint(); err != nil {
 			return err
 		}
@@ -458,7 +453,7 @@ func (e *Engine) pump(ctx context.Context, feed trace.Feed, s *session, p *produ
 // pacing wait that put the pump at the live edge, where buffered rows
 // should drain now instead of sitting until the ring fills.
 func (e *Engine) fill(feed trace.Feed, s *session, ctxDone <-chan struct{}) (done, cancelled bool) {
-	for e.ring.Len() < e.ring.Cap() {
+	for taken := 0; e.ring.Len() < e.ring.Cap(); taken++ {
 		if ctxDone != nil {
 			select {
 			case <-ctxDone:
@@ -470,7 +465,10 @@ func (e *Engine) fill(feed trace.Feed, s *session, ctxDone <-chan struct{}) (don
 			if s.drained() {
 				return true, false
 			}
-			if s.cmdPending() {
+			// A pending command takes the pump back only once this cycle
+			// has taken a packet: a command stream that outpaces the
+			// boundary snapshots must not starve the feed.
+			if taken > 0 && s.cmdPending() {
 				return false, false
 			}
 		}

@@ -214,10 +214,11 @@ func (e *Engine) StartWith(ctx context.Context, feed trace.Feed, opts StartOptio
 	if feed == nil {
 		return fmt.Errorf("engine: session needs a feed")
 	}
-	if e.ckpt != nil {
-		if name := e.unpersistedNode(); name != "" {
-			return fmt.Errorf("engine: node %q is neither an installed query nor a tap, so a durable session snapshot cannot carry it; install it instead", name)
-		}
+	e.topoMu.RLock()
+	err := e.checkpointRunnable(false)
+	e.topoMu.RUnlock()
+	if err != nil {
+		return err
 	}
 	if err := e.beginRun(); err != nil {
 		return err
@@ -240,8 +241,8 @@ func (e *Engine) StartWith(ctx context.Context, feed trace.Feed, opts StartOptio
 	return nil
 }
 
-// finish closes out the session: subscriptions end, the engine returns to
-// idle, and pending commands are refused.
+// finish closes out the session: subscriptions end and the engine
+// returns to idle; commands still queued are refused by do.
 func (s *session) finish(err error) {
 	e := s.e
 	e.topoMu.Lock()
@@ -256,14 +257,6 @@ func (s *session) finish(err error) {
 	e.sessMu.Unlock()
 	e.endRun()
 	close(s.done)
-	for {
-		select {
-		case c := <-s.cmds:
-			c.resp <- cmdResult{err: ErrSessionClosed}
-		default:
-			return
-		}
-	}
 }
 
 // Drain gracefully ends the session: the pump stops taking packets,
@@ -320,10 +313,14 @@ func (s *session) do(fn func() (any, error)) (any, error) {
 	case r := <-c.resp:
 		return r.v, r.err
 	case <-s.done:
-		// finish drains the queue, so a reply (possibly the refusal)
-		// is guaranteed.
-		r := <-c.resp
-		return r.v, r.err
+		// The pump replies before the session ends, so a command it
+		// applied has its reply queued; one still queued never runs.
+		select {
+		case r := <-c.resp:
+			return r.v, r.err
+		default:
+			return nil, ErrSessionClosed
+		}
 	}
 }
 

@@ -555,3 +555,44 @@ func TestRunWrapperUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionCommandsRacingEndReturn: an Install or Uninstall posted
+// while the session ends must return (applied, or ErrSessionClosed)
+// instead of waiting forever for a reply the finished pump never sends.
+func TestSessionCommandsRacingEndReturn(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		e, err := engine.New(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed, err := trace.NewSteady(trace.SteadyConfig{Seed: 3, Duration: 0.05, Rate: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(context.Background(), feed); err != nil {
+			t.Fatal(err)
+		}
+		var churn sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			churn.Add(1)
+			go func(name string) {
+				defer churn.Done()
+				for e.SessionActive() {
+					if _, err := e.Install(name, "SELECT len FROM PKT", engine.InstallOptions{}); err == nil {
+						_ = e.Uninstall(name)
+					}
+				}
+			}(fmt.Sprintf("churn%d", i))
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		returned := make(chan struct{})
+		go func() { churn.Wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a command posted as the session ended never returned", round)
+		}
+	}
+}

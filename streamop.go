@@ -171,25 +171,23 @@ var (
 	ErrUnknownQuery   = engine.ErrUnknownQuery
 )
 
-// Durable sessions and one-shot checkpointing (see docs/ROBUSTNESS.md).
+// Durable sessions and checkpointing (see docs/ROBUSTNESS.md).
 
 // CheckpointConfig configures boundary snapshots (Engine.SetCheckpoint):
 // the directory, the every-N-closed-windows cadence and the on-disk
-// history bound. A session additionally snapshots on every install and
-// uninstall, so the standing-query registry is never older than the last
-// pump boundary.
+// history bound. Every run mode writes the same snapshot, and a session
+// additionally snapshots on every install and uninstall, so the
+// standing-query registry is never older than the last pump boundary.
 type CheckpointConfig = engine.CheckpointConfig
 
-// RestoreInfo describes what Engine.RestoreLatest recovered for a
-// one-shot run; SessionRestoreInfo what Engine.RestoreSession recovered
-// for a standing-query session (queries, taps, quota state, packets to
-// fast-forward past).
-type (
-	RestoreInfo        = engine.RestoreInfo
-	SessionRestoreInfo = engine.SessionRestoreInfo
-)
+// SessionRestoreInfo describes what Engine.RestoreSession, the one
+// restore, recovered: the snapshot, the packets to fast-forward past,
+// the re-installed queries and taps, and the nodes carried forward
+// failed. Hand-built nodes are rebuilt by the caller before the call and
+// checked against the snapshot; their counters are read from the nodes.
+type SessionRestoreInfo = engine.SessionRestoreInfo
 
-// ErrNoCheckpoint is returned (possibly wrapped) by the restore calls
+// ErrNoCheckpoint is returned (possibly wrapped) by RestoreSession
 // when the checkpoint directory holds no valid snapshot; callers treat
 // it as a fresh start.
 var ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
